@@ -22,7 +22,7 @@ from .model import (
     participating_voters,
     reported_depths,
 )
-from .properties import known_property, run_check
+from .properties import parse_property, run_check
 from .scf import parse_scf
 
 EXIT_OK = 0
@@ -69,9 +69,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     scf = parse_scf(args.scf)
-    prop = args.property.upper()
-    if not known_property(prop):
-        raise TreeChoiceError(f"unknown property {args.property!r}")
+    prop = parse_property(args.property)
     if prop == "SP" and args.mode == "diffusion-only":
         prop = "SP-D"
     report = run_check(
@@ -87,7 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance) if args.instance else None
-    report = build_matrix(instance, timeout_s=args.timeout, parallel=not args.serial)
+    report = build_matrix(instance, timeout_s=args.timeout)
     if args.format == "markdown":
         sys.stdout.write(report["markdown"] + "\n")
     else:
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="run all cells on this instance instead of the bundled ones")
     p.add_argument("--timeout", type=float, help="per-cell search time limit in seconds")
     p.add_argument("--format", choices=["json", "markdown"], default="json")
-    p.add_argument("--serial", action="store_true", help="evaluate cells sequentially")
     p.add_argument("--out")
     p.set_defaults(func=cmd_matrix)
 

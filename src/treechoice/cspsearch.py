@@ -19,9 +19,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .enumeration import enumerate_profiles, others_assignments, voter_participates
+from .enumeration import AnonymityVariant, enumerate_profiles, participating_others, permutation_classes
 from .model import (
     BudgetExceededError,
     ConfigurationError,
@@ -31,18 +31,15 @@ from .model import (
     ReportedType,
     SituationKey,
     TreeChoiceError,
-    TrueType,
     VoterId,
     compare,
     format_rational,
-    report_space,
     situation_key,
 )
-from .properties import CheckReport, run_check
+from .properties import CHECK_ONLY, PROPERTY_TOKENS, CheckReport, parse_property, profile_to_json, run_check
 from .scf import SocialChoiceFunction
 
-_SIMPLE_TOKENS = ("SP", "SP-D", "PE", "AN", "AN-S", "AN-D", "AN-SD")
-_ANON_VARIANTS = {"AN": "all", "AN-S": "structure", "AN-D": "depth", "AN-SD": "structure-depth"}
+_SEARCH_TOKENS = tuple(t for t in PROPERTY_TOKENS if t not in CHECK_ONLY)
 
 
 class InconclusiveError(TreeChoiceError):
@@ -54,20 +51,20 @@ class InconclusiveError(TreeChoiceError):
 
 
 def normalize_properties(properties: Iterable[str]) -> tuple[str, ...]:
-    """Validate and canonically order property tokens."""
+    """Validate and canonically order property tokens the search can encode."""
     seen: set[str] = set()
     vr: set[int] = set()
     for raw in properties:
-        token = raw.strip().upper()
-        if token in _SIMPLE_TOKENS:
-            seen.add(token)
-        elif token.startswith("VR-") and token[3:].isdigit():
+        token = parse_property(raw)
+        if token in CHECK_ONLY:
+            raise ConfigurationError(
+                f"property {raw!r} is check-only; search supports: {', '.join(_SEARCH_TOKENS)}, VR-<d>"
+            )
+        if token.startswith("VR-"):
             vr.add(int(token[3:]))
         else:
-            raise ConfigurationError(
-                f"unknown property {raw!r}; supported: {', '.join(_SIMPLE_TOKENS)}, VR-<d>"
-            )
-    ordered = [t for t in _SIMPLE_TOKENS if t in seen]
+            seen.add(token)
+    ordered = [t for t in _SEARCH_TOKENS if t in seen]
     ordered.extend(f"VR-{d}" for d in sorted(vr))
     return tuple(ordered)
 
@@ -173,42 +170,6 @@ def collect_situations(instance: Instance, options: CspOptions | None = None) ->
     return tuple(sorted(keys))
 
 
-def _key_reports(key: SituationKey) -> dict[VoterId, ReportedType]:
-    return {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-
-
-def _key_depths(instance: Instance, key: SituationKey) -> dict[VoterId, int]:
-    reports = _key_reports(key)
-    depths: dict[VoterId, int] = {}
-    frontier = sorted(v for v in reports if v in instance.graph.moderator_children)
-    level = 1
-    while frontier:
-        nxt: list[VoterId] = []
-        for v in frontier:
-            depths[v] = level
-            nxt.extend(sorted(c for c in reports[v].invited if c not in depths))
-        frontier = nxt
-        level += 1
-    return depths
-
-
-def _key_classes(instance: Instance, key: SituationKey, variant: str) -> list[list[int]]:
-    """Positions in the key grouped by the anonymity class of their voter."""
-    depths = _key_depths(instance, key)
-    groups: dict[tuple, list[int]] = {}
-    for pos, (v, _, inv) in enumerate(key):
-        if variant == "all":
-            gkey: tuple = ("all",)
-        elif variant == "structure":
-            gkey = ("structure", len(inv))
-        elif variant == "depth":
-            gkey = ("depth", depths[v])
-        else:
-            gkey = ("structure-depth", len(inv), depths[v])
-        groups.setdefault(gkey, []).append(pos)
-    return [positions for _, positions in sorted(groups.items())]
-
-
 def _swap_peaks(key: SituationKey, a: int, b: int) -> SituationKey:
     entries = list(key)
     va, pa, ia = entries[a]
@@ -243,73 +204,52 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
 
     equalities: set[tuple[int, int]] = set()
     for token in props:
-        variant = _ANON_VARIANTS.get(token)
-        if variant is None:
+        if not token.startswith("AN"):
             continue
+        variant = AnonymityVariant(token)
         for key in keys:
-            for positions in _key_classes(instance, key, variant):
-                if len(positions) < 2:
-                    continue
-                base = index[key]
+            reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
+            base = index[key]
+            for cls in permutation_classes(graph, reports, variant):
+                positions = [pos for pos, (v, _, _) in enumerate(key) if v in cls.members]
                 for ai in range(len(positions)):
                     for bi in range(ai + 1, len(positions)):
-                        swapped = _swap_peaks(key, positions[ai], positions[bi])
-                        other = index[swapped]
+                        other = index[_swap_peaks(key, positions[ai], positions[bi])]
                         if other != base:
                             equalities.add((min(base, other), max(base, other)))
 
-    sp_constraints: set[tuple[int, int, Fraction]] = set()
     sp_mode = "full" if "SP" in props else ("diffusion" if "SP-D" in props else None)
-    if sp_mode is not None:
-        for voter in graph.voters:
-            children = graph.true_children(voter)
-            full_space = report_space(TrueType(grid[0], children), grid)
-            for others in others_assignments(instance, voter, budget=None):
-                if not voter_participates(instance, voter, others):
-                    continue
-                profile = dict(others)
-                rep_var: dict[ReportedType, int] = {}
-                for rep in full_space:
-                    profile[voter] = rep
-                    rep_var[rep] = index[situation_key(graph, profile)]
-                for peak in grid:
-                    truthful = ReportedType(peak, children)
-                    var_t = rep_var[truthful]
-                    if sp_mode == "full":
-                        deviations: Sequence[ReportedType] = full_space
-                    else:
-                        deviations = [
-                            rep for rep in full_space if rep.peak == peak
-                        ]
-                    for dev in deviations:
-                        var_d = rep_var[dev]
-                        if var_d != var_t:
-                            sp_constraints.add((var_t, var_d, peak))
-
+    sp_constraints: set[tuple[int, int, Fraction]] = set()
     vr_scope: set[VoterId] = set()
     for token in props:
         if token.startswith("VR-"):
             d = int(token[3:])
             vr_scope.update(v for v in graph.voters if 1 <= graph.true_depth(v) <= d)
     vr_constraints: list[VrConstraint] = []
-    for voter in sorted(vr_scope):
+    for voter in graph.voters:
+        if sp_mode is None and voter not in vr_scope:
+            continue
+        children = graph.true_children(voter)
         space = instance.report_space(voter)
-        groups: list[tuple[int, ...]] = []
-        seen_groups: set[tuple[int, ...]] = set()
-        for others in others_assignments(instance, voter, budget=None):
-            if not voter_participates(instance, voter, others):
-                continue
+        groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+        for others in participating_others(instance, voter):
             profile = dict(others)
-            vars_here: set[int] = set()
+            rep_var: dict[ReportedType, int] = {}
             for rep in space:
                 profile[voter] = rep
-                vars_here.add(index[situation_key(graph, profile)])
-            if len(vars_here) >= 2:
-                group = tuple(sorted(vars_here))
-                if group not in seen_groups:
-                    seen_groups.add(group)
-                    groups.append(group)
-        vr_constraints.append(VrConstraint(voter, tuple(groups)))
+                rep_var[rep] = index[situation_key(graph, profile)]
+            if sp_mode is not None:
+                for peak in grid:
+                    var_t = rep_var[ReportedType(peak, children)]
+                    for dev, var_d in rep_var.items():
+                        if var_d != var_t and (sp_mode == "full" or dev.peak == peak):
+                            sp_constraints.add((var_t, var_d, peak))
+            if voter in vr_scope:
+                group = tuple(sorted(set(rep_var.values())))
+                if len(group) >= 2:
+                    groups[group] = None
+        if voter in vr_scope:
+            vr_constraints.append(VrConstraint(voter, tuple(groups)))
 
     return Csp(
         instance=instance,
@@ -331,12 +271,18 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     the relevance disjunctions are checked lazily on complete assignments.
     Variable order is most-constrained-first; value order is ascending grid.
     ``order_seed`` shuffles the tie-break and value orders (the verdict must
-    not depend on it); ``timeout_s`` aborts with InconclusiveError.
+    not depend on it); ``timeout_s`` bounds merging, arc consistency and
+    search alike, and aborts with InconclusiveError.
     """
     t0 = time.monotonic()
     n = len(csp.keys)
     model_kind = csp.instance.preference_model
     ambiguous_violates = csp.options.robust_ambiguous_violation
+    nodes = 0
+
+    def check_deadline(progress: dict) -> None:
+        if timeout_s is not None and time.monotonic() - t0 > timeout_s:
+            raise InconclusiveError({**progress, "nodes_explored": nodes})
 
     parent = list(range(n))
 
@@ -347,6 +293,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         return x
 
     for a, b in csp.equalities:
+        check_deadline({})
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -424,6 +371,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     queue = list(range(len(sp)))
     queued = set(queue)
     while queue:
+        check_deadline(stats)
         ci = queue.pop()
         queued.discard(ci)
         t, d, p = sp[ci]
@@ -454,7 +402,6 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         value_rank = {q: i for i, q in enumerate(values)}
 
     assignment: dict[int, Fraction] = {}
-    nodes = 0
 
     def vr_satisfied() -> bool:
         for _, groups in vr:
@@ -488,9 +435,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
 
     def search() -> bool:
         nonlocal nodes
-        if timeout_s is not None and time.monotonic() - t0 > timeout_s:
-            stats["nodes_explored"] = nodes
-            raise InconclusiveError(dict(stats))
+        check_deadline(stats)
         pending = [r for r in reps if r not in assignment]
         if not pending:
             return vr_satisfied()
@@ -535,15 +480,25 @@ def tabulate_scf(
     *,
     options: CspOptions | None = None,
 ) -> dict[SituationKey, Fraction]:
-    """Restrict a functional rule to this instance as an explicit table."""
+    """Restrict a functional rule to this instance as an explicit table.
+
+    The rule is evaluated on every profile, so a rule whose outcome depends
+    on more than the observable situation (say, on a non-participant's
+    report) raises ConfigurationError naming two profiles that disagree.
+    """
     options = options or CspOptions()
     graph = instance.graph
-    table: dict[SituationKey, Fraction] = {}
+    first: dict[SituationKey, tuple[Fraction, dict[VoterId, ReportedType]]] = {}
     for profile in enumerate_profiles(instance, budget=options.profile_budget):
-        key = situation_key(graph, profile)
-        if key not in table:
-            table[key] = scf.outcome(instance, profile)
-    return table
+        out = scf.outcome(instance, profile)
+        seen, seen_profile = first.setdefault(situation_key(graph, profile), (out, profile))
+        if seen != out:
+            raise ConfigurationError(
+                f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
+                f"{profile_to_json(seen_profile)} and {profile_to_json(profile)} share one situation "
+                f"but give {format_rational(seen)} and {format_rational(out)}"
+            )
+    return {key: out for key, (out, _) in first.items()}
 
 
 def verify_model(

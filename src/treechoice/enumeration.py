@@ -104,9 +104,11 @@ def permutation_classes(
 
     Structure means the reported invited-children count; depth means the
     reported distance from the moderator. Classes are computed from the
-    reported graph, the only structure an outcome rule observes.
+    reported graph, the only structure an outcome rule observes. Reports are
+    not validated against the graph, so a situation's reports, which hold
+    only the participants, are accepted too.
     """
-    depths = reported_depths(graph, reports)
+    depths = reported_depths(graph, reports, validate=False)
     groups: dict[tuple, set[VoterId]] = {}
     for v, d in depths.items():
         k = len(reports[v].invited)
@@ -193,3 +195,28 @@ def voter_participates(
     reports = dict(others)
     reports[voter] = instance.truthful_report(voter)
     return voter in participating_voters(instance.graph, reports, validate=False)
+
+
+def participating_others(
+    instance: Instance,
+    voter: VoterId,
+) -> Iterator[dict[VoterId, ReportedType]]:
+    """Joint reports of the others under which ``voter`` participates.
+
+    These are the contexts of a per-voter deviation enumeration, in the
+    lexicographic order of ``others_assignments``. Callers bound the size
+    beforehand with ``deviation_space_size``.
+    """
+    for others in others_assignments(instance, voter, budget=None):
+        if voter_participates(instance, voter, others):
+            yield others
+
+
+def deviation_space_size(instance: Instance, own_sizes: Mapping[VoterId, int]) -> int:
+    """Projected size of a per-voter deviation enumeration.
+
+    Each voter contributes every joint report of the others times
+    ``own_sizes[voter]``, the reports it is tried with in each of them.
+    """
+    total = profile_space_size(instance)
+    return sum(total // len(instance.report_space(v)) * own for v, own in own_sizes.items())

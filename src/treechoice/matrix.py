@@ -11,7 +11,6 @@ on one instance does not settle the general question.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cspsearch import InconclusiveError, encode, solve, verify_model
@@ -155,7 +154,6 @@ def build_matrix(
     instance: Instance | None = None,
     *,
     timeout_s: float | None = None,
-    parallel: bool = True,
 ) -> dict:
     """Run every cell and assemble the JSON report with markdown and artifacts."""
     if instance is None:
@@ -163,30 +161,21 @@ def build_matrix(
     else:
         rows = [(f"VR-{d}", d) for d in range(instance.graph.max_depth, -1, -1)]
 
-    tasks = [(label, d, col) for label, d in rows for col in COLUMNS]
-
-    def evaluate(task: tuple[str, int, str]) -> CellResult:
-        label, d, col = task
-        if instance is None:
-            return _default_cell(col, label, d, timeout_s=timeout_s)
-        return _instance_cell(instance, col, label, d, timeout_s=timeout_s)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(t) for t in tasks]
-
     cells: dict[str, dict] = {}
     artifacts: dict[str, dict] = {}
-    for (label, d, col), result in zip(tasks, results):
-        evidence = f"a{len(artifacts) + 1:02d}"
-        artifacts[evidence] = result.artifact
-        cells[f"{label}|{col}"] = {
-            "verdict": result.verdict,
-            "evidence": evidence,
-            "note": result.note,
-        }
+    for label, d in rows:
+        for col in COLUMNS:
+            if instance is None:
+                result = _default_cell(col, label, d, timeout_s=timeout_s)
+            else:
+                result = _instance_cell(instance, col, label, d, timeout_s=timeout_s)
+            evidence = f"a{len(artifacts) + 1:02d}"
+            artifacts[evidence] = result.artifact
+            cells[f"{label}|{col}"] = {
+                "verdict": result.verdict,
+                "evidence": evidence,
+                "note": result.note,
+            }
 
     row_labels = [label for label, _ in rows]
     return {

@@ -2,8 +2,7 @@
 
 The outcome space is the unit interval. Every peak, parameter, and outcome is
 a ``fractions.Fraction``, so all comparisons in the core are exact; no floats
-appear anywhere. All values are immutable after construction and safe to share
-across parallel workers.
+appear anywhere. All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations

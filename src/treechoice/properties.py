@@ -19,14 +19,15 @@ from .enumeration import (
     AnonymityVariant,
     DEFAULT_PROFILE_BUDGET,
     ProfileFilters,
+    deviation_space_size,
     enumerate_profiles,
-    others_assignments,
+    participating_others,
     peak_permutations,
     permutation_classes,
-    voter_participates,
 )
 from .model import (
     BudgetExceededError,
+    ConfigurationError,
     Instance,
     PreferenceModel,
     PreferenceVerdict,
@@ -42,7 +43,35 @@ from .scf import SocialChoiceFunction
 EXACT_ON_GRID = "ExactOnGrid"
 PASS_IS_GRID_RELATIVE = "PassIsGridRelative"
 
-_VR_RE = re.compile(r"^VR-(\d+)$")
+PROPERTY_TOKENS = ("SP", "SP-D", "PE", "AN", "AN-S", "AN-D", "AN-SD", "ONTO", "DEPTH1-HULL")
+CHECK_ONLY = ("ONTO", "DEPTH1-HULL")  # checkable properties the complete search cannot encode
+
+_VR_RE = re.compile(r"VR-([0-9]+)")
+
+
+class PropertyTokenError(ConfigurationError, ValueError):
+    """A property token outside the grammar of ``parse_property``."""
+
+
+def parse_property(raw: str) -> str:
+    """Canonical spelling of one property token.
+
+    Surrounding whitespace and letter case are ignored, and ``VR-<d>`` takes
+    ASCII digits only, so ``" vr-01"`` reads as ``VR-1``. The tokens are
+    ``PROPERTY_TOKENS`` and ``VR-<d>``; those in ``CHECK_ONLY`` have a
+    checker but no search encoding.
+    """
+    token = raw.strip()
+    if token.isascii():
+        token = token.upper()
+        if token in PROPERTY_TOKENS:
+            return token
+        vr = _VR_RE.fullmatch(token)
+        if vr is not None:
+            return f"VR-{int(vr.group(1))}"
+    raise PropertyTokenError(
+        f"unknown property {raw!r}; supported: {', '.join(PROPERTY_TOKENS)}, VR-<d>"
+    )
 
 
 @dataclass
@@ -118,13 +147,9 @@ def check_sp(
     graph = instance.graph
     model = instance.preference_model
 
-    projected = 0
-    for v in graph.voters:
-        others_size = 1
-        for other in graph.voters:
-            if other != v:
-                others_size *= len(instance.report_space(other))
-        projected += others_size * (1 + len(instance.report_space(v, diffusion_only=diffusion)))
+    projected = deviation_space_size(
+        instance, {v: 1 + len(instance.report_space(v, diffusion_only=diffusion)) for v in graph.voters}
+    )
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="deviation enumeration")
 
@@ -133,9 +158,7 @@ def check_sp(
         truthful = instance.truthful_report(voter)
         true_peak = instance.true_peaks[voter]
         space = instance.report_space(voter, diffusion_only=diffusion)
-        for others in others_assignments(instance, voter, budget=None):
-            if not voter_participates(instance, voter, others):
-                continue
+        for others in participating_others(instance, voter):
             profile_truth = dict(others)
             profile_truth[voter] = truthful
             out_truth = scf.outcome(instance, profile_truth)
@@ -306,13 +329,7 @@ def check_voter_relevance(
     graph = instance.graph
     scope = [v for v in graph.voters if 1 <= graph.true_depth(v) <= d]
 
-    projected = 0
-    for v in scope:
-        others_size = 1
-        for other in graph.voters:
-            if other != v:
-                others_size *= len(instance.report_space(other))
-        projected += others_size * len(instance.report_space(v))
+    projected = deviation_space_size(instance, {v: len(instance.report_space(v)) for v in scope})
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="relevance enumeration")
 
@@ -322,9 +339,7 @@ def check_voter_relevance(
     for voter in scope:
         space = instance.report_space(voter)
         found: dict | None = None
-        for others in others_assignments(instance, voter, budget=None):
-            if not voter_participates(instance, voter, others):
-                continue
+        for others in participating_others(instance, voter):
             first_out: Fraction | None = None
             first_rep: ReportedType | None = None
             for rep in space:
@@ -383,23 +398,6 @@ def check_depth1_hull(
     return CheckReport("DEPTH1-HULL", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
 
 
-_ANON_TOKENS = {
-    "AN": AnonymityVariant.FULL,
-    "AN-S": AnonymityVariant.BY_STRUCTURE,
-    "AN-D": AnonymityVariant.BY_DEPTH,
-    "AN-SD": AnonymityVariant.BY_STRUCTURE_DEPTH,
-}
-
-
-def known_property(token: str) -> bool:
-    token = token.upper()
-    return (
-        token in ("SP", "SP-D", "PE", "ONTO", "DEPTH1-HULL")
-        or token in _ANON_TOKENS
-        or _VR_RE.match(token) is not None
-    )
-
-
 def run_check(
     scf: SocialChoiceFunction,
     instance: Instance,
@@ -408,8 +406,8 @@ def run_check(
     budget: int | None = DEFAULT_PROFILE_BUDGET,
     ambiguous_is_violation: bool = True,
 ) -> CheckReport:
-    """Dispatch a property token to its checker."""
-    token = prop.upper()
+    """Dispatch a property token (see ``parse_property``) to its checker."""
+    token = parse_property(prop)
     if token == "SP":
         return check_sp(scf, instance, "full", ambiguous_is_violation=ambiguous_is_violation, budget=budget)
     if token == "SP-D":
@@ -422,9 +420,6 @@ def run_check(
         return check_ontoness(scf, instance, budget=budget)
     if token == "DEPTH1-HULL":
         return check_depth1_hull(scf, instance, budget=budget)
-    if token in _ANON_TOKENS:
-        return check_anonymity(scf, instance, _ANON_TOKENS[token], budget=budget)
-    vr = _VR_RE.match(token)
-    if vr is not None:
-        return check_voter_relevance(scf, instance, int(vr.group(1)), budget=budget)
-    raise ValueError(f"unknown property {prop!r}")
+    if token.startswith("VR-"):
+        return check_voter_relevance(scf, instance, int(token[3:]), budget=budget)
+    return check_anonymity(scf, instance, AnonymityVariant(token), budget=budget)

@@ -164,6 +164,14 @@ def test_usage_and_validation_exit_one(tmp_path, capsys):
         capsys, "evaluate", "--scf", "mystery-rule", "--instance", str(good)
     )
     assert code == 1
+    code, _, err = run_cli(
+        capsys, "search-csp", "--instance", str(good), "--properties", "SP,VR-\u00b2"
+    )
+    assert code == 1
+    assert "unknown property" in json.loads(err)["error"]
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--serial"])
+    assert exc.value.code == 1
 
 
 def test_instance_file_errors_are_path_qualified(tmp_path, capsys):

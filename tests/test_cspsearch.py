@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,11 @@ from treechoice import (
     Instance,
     InvitationGraph,
     ReportedType,
+    SocialChoiceFunction,
     TabulatedScf,
+    check_sp,
     encode,
+    run_check,
     situation_key,
     solve,
     tabulate_scf,
@@ -23,12 +27,41 @@ from treechoice import (
 from treechoice.cspsearch import collect_situations, normalize_properties
 from treechoice.fileio import (
     make_chain,
+    make_fig2,
     make_two_children_one_grandchild,
     uniform_grid,
 )
 
 F = Fraction
 GRID3 = uniform_grid(3)
+
+
+@pytest.mark.parametrize(
+    "token, canonical",
+    [
+        (" sp", "SP"),
+        ("vr-01", "VR-1"),
+        ("ONTO", "ONTO"),
+        ("depth1-hull", "DEPTH1-HULL"),
+        ("VR-\u00b2", None),
+        ("VR-\u0662", None),
+        ("VR-", None),
+    ],
+)
+def test_checker_and_search_share_one_token_grammar(token, canonical):
+    inst = make_chain(2, 3)
+    if canonical is None:
+        with pytest.raises(ConfigurationError, match="unknown property"):
+            run_check(DirectChildrenMedian(), inst, token)
+        with pytest.raises(ConfigurationError, match="unknown property"):
+            encode(inst, [token])
+        return
+    assert run_check(DirectChildrenMedian(), inst, token).property == canonical
+    if canonical in ("ONTO", "DEPTH1-HULL"):
+        with pytest.raises(ConfigurationError, match="check-only"):
+            encode(inst, [token])
+    else:
+        assert encode(inst, [token]).properties == (canonical,)
 
 
 def test_normalize_properties():
@@ -126,6 +159,33 @@ def test_timeout_is_inconclusive_not_unsat():
     csp = encode(inst, ["PE"])
     with pytest.raises(InconclusiveError):
         solve(csp, timeout_s=1e-9)
+
+
+def test_timeout_bounds_merging_and_arc_consistency():
+    csp = encode(make_fig2(), ["SP", "PE", "AN-SD", "VR-2"])
+    started = time.monotonic()
+    with pytest.raises(InconclusiveError) as exc:
+        solve(csp, timeout_s=0.01)
+    assert time.monotonic() - started < 1.0
+    assert exc.value.stats["nodes_explored"] == 0
+
+
+class _NonParticipantPeak(SocialChoiceFunction):
+    """Reads j's report even when i does not invite j, so it sees more than a situation."""
+
+    name = "non-participant-peak"
+
+    def outcome(self, instance, reports):
+        return reports["j"].peak
+
+
+def test_tabulation_rejects_rule_that_reads_non_participants():
+    inst = make_chain(2, 3)
+    rule = _NonParticipantPeak()
+    assert check_sp(rule, inst).passed
+    with pytest.raises(ConfigurationError, match="observable situation") as exc:
+        tabulate_scf(inst, rule)
+    assert str(exc.value).count("'j': {'peak'") == 2
 
 
 def test_tabulated_rule_agrees_with_functional_rule():

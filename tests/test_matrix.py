@@ -9,7 +9,7 @@ from treechoice.matrix import build_matrix
 
 @pytest.fixture(scope="module")
 def branch_matrix():
-    return build_matrix(make_two_children_one_grandchild(3), parallel=False)
+    return build_matrix(make_two_children_one_grandchild(3))
 
 
 def test_instance_matrix_rows_follow_depth(branch_matrix):
