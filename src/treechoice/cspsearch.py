@@ -15,11 +15,10 @@ timeout is reported as inconclusive, never as Unsat.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .enumeration import AnonymityVariant, enumerate_profiles, participating_others, permutation_classes
 from .model import (
@@ -263,6 +262,43 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
     )
 
 
+def _preference_masks(
+    grid: tuple[Fraction, ...], model_kind: PreferenceModel, ambiguous_violates: bool
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Which outcome pairs each hypothetical peak accepts, as grid-index bitmasks.
+
+    ``forward[p][x]`` has bit ``y`` set, and ``backward[p][y]`` has bit ``x``
+    set, when a voter with true peak ``grid[p]`` weakly prefers the truthful
+    outcome ``grid[x]`` to the deviation's ``grid[y]``: ``compare`` does not
+    say WORSE, nor AMBIGUOUS when the robust model counts ambiguity as a
+    violation. The table is filled once, by g^3 exact comparisons.
+    """
+    g = len(grid)
+    reject_ambiguous = model_kind is PreferenceModel.ROBUST_SINGLE_PEAKED and ambiguous_violates
+    forward = [[0] * g for _ in range(g)]
+    backward = [[0] * g for _ in range(g)]
+    for p, peak in enumerate(grid):
+        for x, x_truth in enumerate(grid):
+            for y, x_dev in enumerate(grid):
+                verdict = compare(peak, x_truth, x_dev, model_kind)
+                if verdict is PreferenceVerdict.WORSE or (
+                    verdict is PreferenceVerdict.AMBIGUOUS and reject_ambiguous
+                ):
+                    continue
+                forward[p][x] |= 1 << y
+                backward[p][y] |= 1 << x
+    return forward, backward
+
+
+def _supported(mask: int, support: list[int], other: int) -> int:
+    """The values in ``mask`` whose ``support`` mask meets the ``other`` domain."""
+    keep = 0
+    for k, allowed in enumerate(support):
+        if mask >> k & 1 and allowed & other:
+            keep |= 1 << k
+    return keep
+
+
 def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = None) -> CspResult:
     """Complete backtracking over the merged situation variables.
 
@@ -273,11 +309,18 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     ``order_seed`` shuffles the tie-break and value orders (the verdict must
     not depend on it); ``timeout_s`` bounds merging, arc consistency and
     search alike, and aborts with InconclusiveError.
+
+    Inside, a value is its index on the grid and a domain is a bitmask of
+    indices. The preference constraints read one table built from the exact
+    ``compare`` (``_preference_masks``), so no verdict rests on anything
+    coarser than Fractions; a Sat model is mapped back to grid Fractions.
+    ``stats["phase_s"]`` gives the seconds spent merging (with the table),
+    in arc consistency and in search.
     """
     t0 = time.monotonic()
+    grid = csp.instance.grid
+    position = {q: k for k, q in enumerate(grid)}
     n = len(csp.keys)
-    model_kind = csp.instance.preference_model
-    ambiguous_violates = csp.options.robust_ambiguous_violation
     nodes = 0
 
     def check_deadline(progress: dict) -> None:
@@ -299,17 +342,17 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             parent[max(ra, rb)] = min(ra, rb)
 
     rep_of = [find(i) for i in range(n)]
-    dom: dict[int, set[Fraction]] = {}
+    dom: dict[int, int] = {}
     for i in range(n):
+        mask = 0
+        for q in csp.domains[i]:
+            mask |= 1 << position[q]
         r = rep_of[i]
-        if r in dom:
-            dom[r] &= set(csp.domains[i])
-        else:
-            dom[r] = set(csp.domains[i])
+        dom[r] = dom[r] & mask if r in dom else mask
 
     sp = sorted(
         {
-            (rep_of[t], rep_of[d], p)
+            (rep_of[t], rep_of[d], position[p])
             for t, d, p in csp.sp_constraints
             if rep_of[t] != rep_of[d]
         }
@@ -328,6 +371,15 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             vr_collapsed = c.voter
         vr.append((c.voter, tuple(groups)))
 
+    forward, backward = _preference_masks(
+        grid, csp.instance.preference_model, csp.options.robust_ambiguous_violation
+    )
+    cons_by_var: dict[int, list[int]] = {}
+    for ci, (t, d, p) in enumerate(sp):
+        cons_by_var.setdefault(t, []).append(ci)
+        cons_by_var.setdefault(d, []).append(ci)
+    t_ac3 = time.monotonic()
+    phase_s = {"merge": t_ac3 - t0, "ac3": 0.0, "search": 0.0}
     stats: dict = {
         "variables": n,
         "merged_variables": len(dom),
@@ -336,6 +388,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         "vr_constraints": len(vr),
         "ac3_prunes": 0,
         "order_seed": order_seed,
+        "phase_s": phase_s,
     }
 
     def finish(verdict: str, model: dict[SituationKey, Fraction] | None, nodes: int) -> CspResult:
@@ -350,23 +403,6 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         stats["refuted_by"] = f"relevance-collapsed:{vr_collapsed}"
         return finish("unsat", None, 0)
 
-    def ok(peak: Fraction, x_truth: Fraction, x_dev: Fraction) -> bool:
-        verdict = compare(peak, x_truth, x_dev, model_kind)
-        if verdict is PreferenceVerdict.WORSE:
-            return False
-        if (
-            verdict is PreferenceVerdict.AMBIGUOUS
-            and model_kind is PreferenceModel.ROBUST_SINGLE_PEAKED
-            and ambiguous_violates
-        ):
-            return False
-        return True
-
-    cons_by_var: dict[int, list[int]] = {}
-    for ci, (t, d, p) in enumerate(sp):
-        cons_by_var.setdefault(t, []).append(ci)
-        cons_by_var.setdefault(d, []).append(ci)
-
     # arc consistency to a fixpoint
     queue = list(range(len(sp)))
     queued = set(queue)
@@ -375,33 +411,47 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         ci = queue.pop()
         queued.discard(ci)
         t, d, p = sp[ci]
-        keep_t = {x for x in dom[t] if any(ok(p, x, y) for y in dom[d])}
-        keep_d = {y for y in dom[d] if any(ok(p, x, y) for x in dom[t])}
+        keep_t = _supported(dom[t], forward[p], dom[d])
+        keep_d = _supported(dom[d], backward[p], dom[t])
         for var, keep in ((t, keep_t), (d, keep_d)):
-            if len(keep) < len(dom[var]):
-                stats["ac3_prunes"] += len(dom[var]) - len(keep)
+            if keep != dom[var]:
+                stats["ac3_prunes"] += dom[var].bit_count() - keep.bit_count()
                 dom[var] = keep
                 if not keep:
                     stats["refuted_by"] = "arc-consistency"
+                    phase_s["ac3"] = time.monotonic() - t_ac3
                     return finish("unsat", None, 0)
                 for other in cons_by_var.get(var, ()):
                     if other not in queued:
                         queued.add(other)
                         queue.append(other)
+    t_search = time.monotonic()
+    phase_s["ac3"] = t_search - t_ac3
 
     reps = sorted(dom)
-    value_rank = {q: i for i, q in enumerate(csp.instance.grid)}
-    tie_rank = {r: i for i, r in enumerate(reps)}
+    by_tie = reps
+    value_order = list(range(len(grid)))
     if order_seed is not None:
         rng = random.Random(order_seed)
-        shuffled = reps[:]
-        rng.shuffle(shuffled)
-        tie_rank = {r: i for i, r in enumerate(shuffled)}
-        values = list(csp.instance.grid)
-        rng.shuffle(values)
-        value_rank = {q: i for i, q in enumerate(values)}
+        by_tie = reps[:]
+        rng.shuffle(by_tie)
+        rng.shuffle(value_order)
 
-    assignment: dict[int, Fraction] = {}
+    assignment: dict[int, int] = {}
+    trail: list[tuple[int, int]] = []  # (variable, domain before a change), undone by depth
+
+    def choose() -> int | None:
+        # the smallest domain, ties to the earliest in by_tie; no unassigned
+        # domain is ever empty, so a singleton is already the minimum
+        best, best_size = None, len(grid) + 1
+        for r in by_tie:
+            if r not in assignment:
+                size = dom[r].bit_count()
+                if size < best_size:
+                    best, best_size = r, size
+                    if size == 1:
+                        break
+        return best
 
     def vr_satisfied() -> bool:
         for _, groups in vr:
@@ -409,51 +459,62 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 return False
         return True
 
-    def propagate(var: int, val: Fraction, trail: list[tuple[int, set[Fraction]]]) -> bool:
+    def propagate(var: int, val: int) -> bool:
         for ci in cons_by_var.get(var, ()):
             t, d, p = sp[ci]
-            if t == var and d not in assignment:
-                keep = {y for y in dom[d] if ok(p, val, y)}
-            elif d == var and t not in assignment:
-                keep = {x for x in dom[t] if ok(p, x, val)}
+            if t == var:
+                other, allowed = d, forward[p][val]
             else:
-                other = d if t == var else t
-                if other in assignment:
-                    pair = (val, assignment[other]) if t == var else (assignment[other], val)
-                    if not ok(p, *pair):
-                        return False
+                other, allowed = t, backward[p][val]
+            if other in assignment:
+                # holds by forward checking from the earlier assignment; a guard
+                if not allowed >> assignment[other] & 1:
+                    return False
                 continue
-            other = d if t == var else t
-            if len(keep) < len(dom[other]):
+            keep = dom[other] & allowed
+            if keep != dom[other]:
                 trail.append((other, dom[other]))
                 dom[other] = keep
                 if not keep:
                     return False
         return True
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(reps) + 100))
-
-    def search() -> bool:
-        nonlocal nodes
+    # depth-first search on an explicit stack: a frame is the variable, its
+    # untried values in value order, and the trail length before it was set
+    frames: list[tuple[int, Iterator[int], int]] = []
+    sat = False
+    while True:
         check_deadline(stats)
-        pending = [r for r in reps if r not in assignment]
-        if not pending:
-            return vr_satisfied()
-        var = min(pending, key=lambda r: (len(dom[r]), tie_rank[r]))
-        for val in sorted(dom[var], key=lambda q: value_rank[q]):
+        var = choose()
+        if var is None:
+            if vr_satisfied():
+                sat = True
+                break
+        else:
+            mask = dom[var]
+            frames.append((var, iter([k for k in value_order if mask >> k & 1]), len(trail)))
+        while frames:  # the next value of the deepest open frame, backtracking
+            var, values, mark = frames[-1]
+            while len(trail) > mark:
+                changed, saved = trail.pop()
+                dom[changed] = saved
+            assignment.pop(var, None)
+            val = next(values, None)
+            if val is None:
+                frames.pop()
+                continue
             nodes += 1
             assignment[var] = val
-            trail: list[tuple[int, set[Fraction]]] = [(var, dom[var])]
-            dom[var] = {val}
-            if propagate(var, val, trail) and search():
-                return True
-            for v, saved in reversed(trail):
-                dom[v] = saved
-            del assignment[var]
-        return False
+            trail.append((var, dom[var]))
+            dom[var] = 1 << val
+            if propagate(var, val):
+                break
+        else:
+            break
+    phase_s["search"] = time.monotonic() - t_search
 
-    if search():
-        model = {key: assignment[rep_of[i]] for i, key in enumerate(csp.keys)}
+    if sat:
+        model = {key: grid[assignment[rep_of[i]]] for i, key in enumerate(csp.keys)}
         return finish("sat", model, nodes)
     return finish("unsat", None, nodes)
 

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
+import hashlib
+import itertools
+import json
+import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treechoice import (
     BudgetExceededError,
@@ -13,10 +21,13 @@ from treechoice import (
     InconclusiveError,
     Instance,
     InvitationGraph,
+    PreferenceModel,
+    PreferenceVerdict,
     ReportedType,
     SocialChoiceFunction,
     TabulatedScf,
     check_sp,
+    compare,
     encode,
     run_check,
     situation_key,
@@ -24,7 +35,7 @@ from treechoice import (
     tabulate_scf,
     verify_model,
 )
-from treechoice.cspsearch import collect_situations, normalize_properties
+from treechoice.cspsearch import Csp, VrConstraint, collect_situations, model_to_json, normalize_properties
 from treechoice.fileio import (
     make_chain,
     make_fig2,
@@ -228,3 +239,119 @@ def test_sat_model_outcomes_are_on_grid():
     assert all(v in gridset for v in result.model.values())
     scf = TabulatedScf(result.model)
     assert scf.outcome(inst, inst.truthful_reports()) in gridset
+
+
+# sha256 of json.dumps(model_to_json(model)) for the fig2 model under the
+# default search order; it moves only if the encoding or the search order does
+FIG2_MODEL_SHA256 = "e84b9dc36d501ca9fb3c93fa3d89933e5a169c05ab160c90b3ad94e8ed7cbc56"
+
+
+def test_fig2_existence_theorem_is_sat_without_backtracking():
+    inst = make_fig2()
+    props = ["SP", "PE", "AN-SD", "VR-2"]
+    limit = sys.getrecursionlimit()
+    result = solve(encode(inst, props))
+    assert sys.getrecursionlimit() == limit
+    assert result.sat
+    assert result.stats["merged_variables"] == 1209
+    assert result.nodes_explored == 1209
+    assert all(r.passed for r in verify_model(inst, result.model, props))
+    digest = hashlib.sha256(json.dumps(model_to_json(result.model)).encode()).hexdigest()
+    assert digest == FIG2_MODEL_SHA256
+
+
+@pytest.mark.parametrize(
+    "inst, props, verdict, refuted_by",
+    [
+        (make_two_children_one_grandchild(3), ["SP", "PE", "AN-D", "VR-1"], "sat", None),
+        (make_chain(3, 3), ["SP", "PE", "AN-S"], "unsat", "arc-consistency"),
+        (make_two_children_one_grandchild(3), ["SP", "PE", "AN-D", "VR-2"], "unsat", None),
+    ],
+)
+def test_solve_reports_phase_times(inst, props, verdict, refuted_by):
+    result = solve(encode(inst, props))
+    assert (result.verdict, result.stats.get("refuted_by")) == (verdict, refuted_by)
+    phases = result.stats["phase_s"]
+    assert set(phases) == {"merge", "ac3", "search"}
+    assert all(seconds >= 0 for seconds in phases.values())
+
+
+# Differential test: random CSPs over the 12 situations of a two-voter chain,
+# decided by brute force over every assignment with the Fraction ``compare``.
+_CHAIN2 = make_chain(2, 3)
+_CHAIN2_KEYS = collect_situations(_CHAIN2)
+_ASSIGNMENT_CAP = 5_000
+_PREFERENCES = [
+    (PreferenceModel.SYMMETRIC_DISTANCE, True),
+    (PreferenceModel.ROBUST_SINGLE_PEAKED, True),
+    (PreferenceModel.ROBUST_SINGLE_PEAKED, False),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _accepts(model: PreferenceModel, ambiguous_violates: bool, peak, truthful, deviated) -> bool:
+    verdict = compare(peak, truthful, deviated, model)
+    if verdict is PreferenceVerdict.WORSE:
+        return False
+    return not (verdict is PreferenceVerdict.AMBIGUOUS and ambiguous_violates)
+
+
+def _satisfies(csp: Csp, values) -> bool:
+    model = csp.instance.preference_model
+    flag = csp.options.robust_ambiguous_violation
+    return (
+        all(values[a] == values[b] for a, b in csp.equalities)
+        and all(_accepts(model, flag, p, values[t], values[d]) for t, d, p in csp.sp_constraints)
+        and all(
+            any(len({values[v] for v in group}) >= 2 for group in c.groups)
+            for c in csp.vr_constraints
+        )
+    )
+
+
+@st.composite
+def _synthetic_csps(draw) -> Csp:
+    n = len(_CHAIN2_KEYS)
+    grid = _CHAIN2.grid
+    var = st.integers(0, n - 1)
+    domains = [
+        tuple(sorted(draw(st.sets(st.sampled_from(grid), min_size=1))))
+        for _ in range(n)
+    ]
+    while math.prod(map(len, domains)) > _ASSIGNMENT_CAP:
+        widest = max(range(n), key=lambda i: len(domains[i]))
+        domains[widest] = domains[widest][:1]
+    pairs = st.tuples(var, var).filter(lambda pair: pair[0] != pair[1])
+    sp = draw(st.sets(st.tuples(var, var, st.sampled_from(grid)).filter(lambda c: c[0] != c[1]), max_size=16))
+    equalities = draw(st.sets(pairs.map(lambda pair: tuple(sorted(pair))), max_size=4))
+    group = st.lists(var, min_size=2, max_size=3, unique=True).map(lambda g: tuple(sorted(g)))
+    vr = draw(
+        st.lists(
+            st.builds(VrConstraint, st.sampled_from(["i", "j"]), st.lists(group, min_size=1, max_size=3).map(tuple)),
+            max_size=2,
+        )
+    )
+    model, flag = draw(st.sampled_from(_PREFERENCES))
+    return Csp(
+        instance=dataclasses.replace(_CHAIN2, preference_model=model),
+        properties=(),
+        options=CspOptions(robust_ambiguous_violation=flag),
+        keys=_CHAIN2_KEYS,
+        domains=domains,
+        equalities=tuple(sorted(equalities)),
+        sp_constraints=tuple(sorted(sp)),
+        vr_constraints=tuple(vr),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_synthetic_csps())
+def test_solve_agrees_with_brute_force(csp):
+    sat = any(_satisfies(csp, values) for values in itertools.product(*csp.domains))
+    for seed in (None, 1):
+        result = solve(csp, order_seed=seed)
+        assert result.sat == sat
+        if result.sat:
+            values = [result.model[key] for key in csp.keys]
+            assert all(v in dom for v, dom in zip(values, csp.domains))
+            assert _satisfies(csp, values)
