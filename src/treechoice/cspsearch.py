@@ -20,22 +20,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .enumeration import AnonymityVariant, enumerate_profiles, participating_others, permutation_classes
+from .enumeration import (
+    AnonymityVariant,
+    enumerate_profiles,
+    participating_others,
+    permutation_classes,
+    profile_space_size,
+)
 from .model import (
     BudgetExceededError,
     ConfigurationError,
     Instance,
-    PreferenceModel,
-    PreferenceVerdict,
     ReportedType,
     SituationKey,
     TreeChoiceError,
     VoterId,
-    compare,
     format_rational,
+    preference_masks,
     situation_key,
 )
-from .properties import CHECK_ONLY, PROPERTY_TOKENS, CheckReport, parse_property, profile_to_json, run_check
+from .properties import CHECK_ONLY, PROPERTY_TOKENS, CheckReport, parse_property, rule_table, run_check
 from .scf import SocialChoiceFunction
 
 _SEARCH_TOKENS = tuple(t for t in PROPERTY_TOKENS if t not in CHECK_ONLY)
@@ -262,35 +266,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
     )
 
 
-def _preference_masks(
-    grid: tuple[Fraction, ...], model_kind: PreferenceModel, ambiguous_violates: bool
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Which outcome pairs each hypothetical peak accepts, as grid-index bitmasks.
-
-    ``forward[p][x]`` has bit ``y`` set, and ``backward[p][y]`` has bit ``x``
-    set, when a voter with true peak ``grid[p]`` weakly prefers the truthful
-    outcome ``grid[x]`` to the deviation's ``grid[y]``: ``compare`` does not
-    say WORSE, nor AMBIGUOUS when the robust model counts ambiguity as a
-    violation. The table is filled once, by g^3 exact comparisons.
-    """
-    g = len(grid)
-    reject_ambiguous = model_kind is PreferenceModel.ROBUST_SINGLE_PEAKED and ambiguous_violates
-    forward = [[0] * g for _ in range(g)]
-    backward = [[0] * g for _ in range(g)]
-    for p, peak in enumerate(grid):
-        for x, x_truth in enumerate(grid):
-            for y, x_dev in enumerate(grid):
-                verdict = compare(peak, x_truth, x_dev, model_kind)
-                if verdict is PreferenceVerdict.WORSE or (
-                    verdict is PreferenceVerdict.AMBIGUOUS and reject_ambiguous
-                ):
-                    continue
-                forward[p][x] |= 1 << y
-                backward[p][y] |= 1 << x
-    return forward, backward
-
-
-def _supported(mask: int, support: list[int], other: int) -> int:
+def _supported(mask: int, support: tuple[int, ...], other: int) -> int:
     """The values in ``mask`` whose ``support`` mask meets the ``other`` domain."""
     keep = 0
     for k, allowed in enumerate(support):
@@ -312,8 +288,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
 
     Inside, a value is its index on the grid and a domain is a bitmask of
     indices. The preference constraints read one table built from the exact
-    ``compare`` (``_preference_masks``), so no verdict rests on anything
-    coarser than Fractions; a Sat model is mapped back to grid Fractions.
+    ``compare`` (``preference_masks``, shared with ``check_sp``), so no
+    verdict rests on anything coarser than Fractions; a Sat model is mapped
+    back to grid Fractions.
     ``stats["phase_s"]`` gives the seconds spent merging (with the table),
     in arc consistency and in search.
     """
@@ -371,7 +348,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             vr_collapsed = c.voter
         vr.append((c.voter, tuple(groups)))
 
-    forward, backward = _preference_masks(
+    forward, backward = preference_masks(
         grid, csp.instance.preference_model, csp.options.robust_ambiguous_violation
     )
     cons_by_var: dict[int, list[int]] = {}
@@ -543,23 +520,15 @@ def tabulate_scf(
 ) -> dict[SituationKey, Fraction]:
     """Restrict a functional rule to this instance as an explicit table.
 
-    The rule is evaluated on every profile, so a rule whose outcome depends
-    on more than the observable situation (say, on a non-participant's
-    report) raises ConfigurationError naming two profiles that disagree.
+    This reads the checkers' table (``properties.rule_table``): the rule is
+    evaluated on every profile, so a rule whose outcome depends on more than
+    the observable situation (say, on a non-participant's report, or on a
+    true peak) raises ConfigurationError.
     """
     options = options or CspOptions()
-    graph = instance.graph
-    first: dict[SituationKey, tuple[Fraction, dict[VoterId, ReportedType]]] = {}
-    for profile in enumerate_profiles(instance, budget=options.profile_budget):
-        out = scf.outcome(instance, profile)
-        seen, seen_profile = first.setdefault(situation_key(graph, profile), (out, profile))
-        if seen != out:
-            raise ConfigurationError(
-                f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
-                f"{profile_to_json(seen_profile)} and {profile_to_json(profile)} share one situation "
-                f"but give {format_rational(seen)} and {format_rational(out)}"
-            )
-    return {key: out for key, (out, _) in first.items()}
+    profile_space_size(instance, budget=options.profile_budget)
+    space, table = rule_table(scf, instance)
+    return {key: table.values[k] for key, k in zip(space.keys, table.outcomes)}
 
 
 def verify_model(

@@ -4,11 +4,14 @@ Every iterator here is deterministic: voters are visited in sorted id order,
 report spaces are ordered peaks-ascending then invited-bitmask-ascending, and
 re-running an enumeration yields the identical sequence. Checkers that scan
 these streams therefore produce the same minimal witness on every run.
+``SituationSpace`` numbers the same streams once per tree shape and grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -18,9 +21,11 @@ from .model import (
     Instance,
     InvitationGraph,
     ReportedType,
+    SituationKey,
     VoterId,
     participating_voters,
     reported_depths,
+    situation_key,
 )
 
 DEFAULT_PROFILE_BUDGET = 2_000_000
@@ -51,10 +56,21 @@ def _voter_spaces(instance: Instance, filters: ProfileFilters | None) -> list[tu
     return spaces
 
 
-def profile_space_size(instance: Instance, filters: ProfileFilters | None = None) -> int:
-    size = 1
-    for _, space in _voter_spaces(instance, filters):
-        size *= len(space)
+def profile_space_size(
+    instance: Instance,
+    filters: ProfileFilters | None = None,
+    *,
+    budget: int | None = None,
+) -> int:
+    """Number of joint report profiles; BudgetExceededError names it above ``budget``."""
+    filters = filters or ProfileFilters()
+    fixed = filters.fixed or {}
+    size = math.prod(
+        1 if v in fixed else instance.report_space_size(v, diffusion_only=filters.truthful_peaks)
+        for v in instance.graph.voters
+    )
+    if budget is not None and size > budget:
+        raise BudgetExceededError(size, budget, what="profile enumeration")
     return size
 
 
@@ -69,12 +85,8 @@ def enumerate_profiles(
     Raises BudgetExceededError (naming the projected size) before yielding
     anything if the product of the per-voter space sizes exceeds ``budget``.
     """
+    profile_space_size(instance, filters, budget=budget)
     spaces = _voter_spaces(instance, filters)
-    size = 1
-    for _, space in spaces:
-        size *= len(space)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(size, budget, what="profile enumeration")
     voters = [v for v, _ in spaces]
     for combo in itertools.product(*(space for _, space in spaces)):
         yield dict(zip(voters, combo))
@@ -219,4 +231,143 @@ def deviation_space_size(instance: Instance, own_sizes: Mapping[VoterId, int]) -
     ``own_sizes[voter]``, the reports it is tried with in each of them.
     """
     total = profile_space_size(instance)
-    return sum(total // len(instance.report_space(v)) * own for v, own in own_sizes.items())
+    return sum(total // instance.report_space_size(v) * own for v, own in own_sizes.items())
+
+
+SPACE_CACHE_SIZE = 4  # shapes kept; a peak sweep visits one shape's assignments in a row
+TABLES_PER_SPACE = 4  # rule tables kept per shape
+
+
+class SituationSpace:
+    """The profile, deviation and anonymity streams of one tree shape, as ints.
+
+    A situation is what an outcome rule observes (``situation_key``); ids
+    number the situations in order of first appearance in
+    ``enumerate_profiles``, and ``keys[s]`` is situation ``s``. Report
+    spaces, participation and situations read only the graph and the grid,
+    never true peaks, so every peak assignment of a shape shares one space
+    (see ``situation_space``). The space holds no profiles: a checker that
+    needs one for a witness rebuilds it from its position (``profile_at``).
+
+    - ``reports[voter]`` is the voter's ``report_space``, which does not
+      depend on its true peak.
+    - ``profile_sids[i]`` is the situation of the ``i``-th profile of
+      ``enumerate_profiles``.
+    - ``deviation_groups(voter)`` yields, for each context of
+      ``participating_others`` in order, the position of the context's
+      profile where the voter reports ``reports[voter][0]``, and the
+      situation of each of the voter's reports in ``report_space`` order.
+    - ``permuted(variant)`` lists, for each situation, its peak-permuted
+      situations in ``check_anonymity``'s order.
+    - ``tables`` maps a rule to its outcome per situation; the checkers fill
+      it (``properties.rule_table``), at most ``TABLES_PER_SPACE`` entries.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        graph = instance.graph
+        index: dict[SituationKey, int] = {}
+        entries: dict = {}  # one copy of each (voter, peak, invited) entry, shared by the keys
+        sids: list[int] = []
+        for profile in enumerate_profiles(instance, budget=None):
+            key = situation_key(graph, profile)
+            sid = index.get(key)
+            if sid is None:
+                sid = index[tuple(entries.setdefault(entry, entry) for entry in key)] = len(index)
+            sids.append(sid)
+        self.graph = graph
+        self.reports = {v: instance.report_space(v) for v in graph.voters}
+        self.keys: tuple[SituationKey, ...] = tuple(index)
+        self.profile_sids = sids
+        self.tables: OrderedDict = OrderedDict()
+        bit = {v: 1 << k for k, v in enumerate(graph.voters)}
+        self._participants = [sum(bit[v] for v, _, _ in key) for key in self.keys]
+        self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
+        self._permuted: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
+
+    def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
+        """The profile at ``position`` in ``enumerate_profiles`` order."""
+        digits = []
+        for v in reversed(self.graph.voters):
+            position, digit = divmod(position, len(self.reports[v]))
+            digits.append(digit)
+        return {v: self.reports[v][d] for v, d in zip(self.graph.voters, reversed(digits))}
+
+    def deviation_groups(self, voter: VoterId) -> Iterator[tuple[int, list[int]]]:
+        contexts = self._contexts.get(voter)
+        if contexts is None:
+            # a profile's position is mixed-radix over the voters, the last
+            # fastest; the positions where this voter's digit is 0 list the
+            # others' joint reports in lexicographic order, and participation
+            # never depends on the voter's own report
+            voters = self.graph.voters
+            k = voters.index(voter)
+            stride = math.prod(len(self.reports[v]) for v in voters[k + 1:])
+            block = stride * len(self.reports[voter])
+            sids = self.profile_sids
+            starts = [
+                pos
+                for start in range(0, len(sids), block)
+                for pos in range(start, start + stride)
+                if self._participants[sids[pos]] >> k & 1
+            ]
+            contexts = self._contexts[voter] = (stride, block, starts)
+        stride, block, starts = contexts
+        for pos in starts:
+            yield pos, self.profile_sids[pos : pos + block : stride]
+
+    def permuted(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
+        out = self._permuted.get(variant)
+        if out is None:
+            index = {key: sid for sid, key in enumerate(self.keys)}
+            out = []
+            for key in self.keys:
+                reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
+                out.append(
+                    tuple(
+                        index[tuple((v, permuted[v].peak, inv) for v, _, inv in key)]
+                        for _, permuted in anonymity_permutations(self.graph, reports, variant)
+                    )
+                )
+            self._permuted[variant] = out
+        return out
+
+
+def anonymity_permutations(
+    graph: InvitationGraph,
+    reports: Mapping[VoterId, ReportedType],
+    variant: AnonymityVariant,
+) -> Iterator[tuple[PermutationClass, dict[VoterId, ReportedType]]]:
+    """Every peak permutation the anonymity check compares with ``reports``.
+
+    Classes come in key order and, within one, permutations in
+    ``itertools.permutations`` order; a permutation equal to ``reports``
+    (the identity, or a swap of equal peaks) is skipped.
+    """
+    for cls in permutation_classes(graph, reports, variant):
+        if len(cls.members) < 2:
+            continue
+        for permuted in peak_permutations(reports, cls):
+            if permuted != reports:
+                yield cls, permuted
+
+
+_SPACES: OrderedDict[tuple, SituationSpace] = OrderedDict()
+
+
+def situation_space(instance: Instance) -> SituationSpace:
+    """The shared space of the instance's shape and grid, built on first use.
+
+    A shape is the graph with its voter names; the last ``SPACE_CACHE_SIZE``
+    shapes used are kept. Callers bound the profile count first: building
+    enumerates every profile without a budget.
+    """
+    graph = instance.graph
+    shape = (graph.moderator_children, tuple(sorted(graph.children.items())), instance.grid)
+    space = _SPACES.get(shape)
+    if space is None:
+        space = _SPACES[shape] = SituationSpace(instance)
+        if len(_SPACES) > SPACE_CACHE_SIZE:
+            _SPACES.popitem(last=False)
+    else:
+        _SPACES.move_to_end(shape)
+    return space

@@ -7,6 +7,7 @@ appear anywhere. All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,6 +120,39 @@ def compare(
         # same side of the peak: closer is better under every completion
         return PreferenceVerdict.BETTER if abs(a - peak) < abs(b - peak) else PreferenceVerdict.WORSE
     return PreferenceVerdict.AMBIGUOUS
+
+
+PreferenceMasks = tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def preference_masks(
+    values: tuple[Fraction, ...], model: PreferenceModel, ambiguous_violates: bool
+) -> tuple[PreferenceMasks, PreferenceMasks]:
+    """Which outcome pairs each peak accepts, as bitmasks over indices into ``values``.
+
+    ``forward[p][x]`` has bit ``y`` set, and ``backward[p][y]`` has bit ``x``
+    set, when a voter with true peak ``values[p]`` weakly prefers the
+    truthful outcome ``values[x]`` to the deviation's ``values[y]``:
+    ``compare`` does not say WORSE, nor AMBIGUOUS when the robust model
+    counts ambiguity as a violation. Each table is filled once, by
+    ``len(values)**3`` exact comparisons, and shared by the checkers and
+    the search.
+    """
+    reject_ambiguous = model is PreferenceModel.ROBUST_SINGLE_PEAKED and ambiguous_violates
+    forward = [[0] * len(values) for _ in values]
+    backward = [[0] * len(values) for _ in values]
+    for p, peak in enumerate(values):
+        for x, x_truth in enumerate(values):
+            for y, x_dev in enumerate(values):
+                verdict = compare(peak, x_truth, x_dev, model)
+                if verdict is PreferenceVerdict.WORSE or (
+                    verdict is PreferenceVerdict.AMBIGUOUS and reject_ambiguous
+                ):
+                    continue
+                forward[p][x] |= 1 << y
+                backward[p][y] |= 1 << x
+    return tuple(map(tuple, forward)), tuple(map(tuple, backward))
 
 
 @dataclass(frozen=True)
@@ -355,6 +389,10 @@ class Instance:
 
     def report_space(self, voter: VoterId, *, diffusion_only: bool = False) -> tuple[ReportedType, ...]:
         return report_space(self.true_type(voter), self.grid, diffusion_only=diffusion_only)
+
+    def report_space_size(self, voter: VoterId, *, diffusion_only: bool = False) -> int:
+        """``len(self.report_space(voter, ...))``, without building the reports."""
+        return (1 if diffusion_only else len(self.grid)) << len(self.graph.true_children(voter))
 
 
 SituationKey = tuple[tuple[VoterId, Fraction, tuple[VoterId, ...]], ...]

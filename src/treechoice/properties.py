@@ -6,10 +6,17 @@ rule evaluation per cited profile; witnesses are minimal in the deterministic
 enumeration order. Pass verdicts for the incentive, efficiency, and anonymity
 checkers are relative to the instance's grid; relevance works the other way
 around (a Pass is witnessed exactly, a Fail means no witness on this grid).
+
+The incentive, anonymity and relevance checkers evaluate no rule themselves:
+they scan the rule's table on the instance's situation space
+(``rule_table``), which every peak assignment of one tree shape shares, and
+rebuild profiles only for the witnesses they report. Every checker shows the
+rule a ``PeakBlindInstance``, never the true peaks.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +25,14 @@ from typing import Mapping
 from .enumeration import (
     AnonymityVariant,
     DEFAULT_PROFILE_BUDGET,
+    TABLES_PER_SPACE,
     ProfileFilters,
+    SituationSpace,
+    anonymity_permutations,
     deviation_space_size,
     enumerate_profiles,
-    participating_others,
-    peak_permutations,
-    permutation_classes,
+    profile_space_size,
+    situation_space,
 )
 from .model import (
     BudgetExceededError,
@@ -36,7 +45,7 @@ from .model import (
     compare,
     format_rational,
     participating_voters,
-    situation_key,
+    preference_masks,
 )
 from .scf import SocialChoiceFunction
 
@@ -106,21 +115,82 @@ def profile_to_json(reports: Mapping[VoterId, ReportedType]) -> dict:
     }
 
 
-class _CachedRule:
-    """Memoizes outcomes by observable situation; rules are pure, so this is safe."""
+class PeakBlindInstance:
+    """What an outcome rule may read of an instance: graph, grid, preference model.
 
-    def __init__(self, scf: SocialChoiceFunction, instance: Instance) -> None:
-        self._scf = scf
-        self._instance = instance
-        self._cache: dict = {}
+    Rule tables are shared by every peak assignment of a tree shape, so a
+    rule must not read true peaks. Asking this view for ``true_peaks`` (or
+    anything else an ``Instance`` derives from them) raises
+    ConfigurationError naming the rule.
+    """
 
-    def outcome(self, reports: Mapping[VoterId, ReportedType]) -> Fraction:
-        key = situation_key(self._instance.graph, reports)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._scf.outcome(self._instance, reports)
-            self._cache[key] = hit
-        return hit
+    __slots__ = ("graph", "grid", "preference_model", "_rule")
+
+    def __init__(self, instance: Instance, rule: str) -> None:
+        self.graph = instance.graph
+        self.grid = instance.grid
+        self.preference_model = instance.preference_model
+        self._rule = rule
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise ConfigurationError(
+            f"rule {self._rule!r} read instance.{name}; an outcome rule may read only the graph, "
+            "the grid, the preference model and the participants' reports"
+        )
+
+
+@dataclass(frozen=True)
+class RuleTable:
+    """One rule on one situation space: its outcome in situation ``s`` is ``values[outcomes[s]]``.
+
+    ``values`` is the grid, extended in order by any off-grid outcome the
+    rule returns.
+    """
+
+    values: tuple[Fraction, ...]
+    outcomes: tuple[int, ...]
+
+
+def rule_table(scf: SocialChoiceFunction, instance: Instance) -> tuple[SituationSpace, RuleTable]:
+    """The instance's situation space and the rule's table on it, tabulated once.
+
+    Tables are keyed by the rule object's identity and the preference
+    model. Tabulation evaluates the rule on every profile, through a
+    ``PeakBlindInstance``, and raises ConfigurationError naming two profiles
+    when one situation gets two outcomes. Callers bound the profile count
+    first.
+    """
+    space = situation_space(instance)
+    key = (id(scf), instance.preference_model)
+    hit = space.tables.get(key)
+    if hit is not None:  # the entry holds the rule, so its id is not reused meanwhile
+        space.tables.move_to_end(key)
+        return space, hit[1]
+    view = PeakBlindInstance(instance, scf.name)
+    first: dict[int, tuple[Fraction, int]] = {}
+    profiles = enumerate_profiles(instance, budget=None)
+    for position, (sid, profile) in enumerate(zip(space.profile_sids, profiles)):
+        out = scf.outcome(view, profile)
+        seen, seen_at = first.setdefault(sid, (out, position))
+        if seen != out:
+            seen_profile = space.profile_at(seen_at)
+            raise ConfigurationError(
+                f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
+                f"{profile_to_json(seen_profile)} and {profile_to_json(profile)} share one situation "
+                f"but give {format_rational(seen)} and {format_rational(out)}"
+            )
+    outs = [first[sid][0] for sid in range(len(space.keys))]
+    values = instance.grid
+    if not set(outs) <= set(values):
+        values = tuple(sorted(set(values).union(outs)))
+    index_of = {q: k for k, q in enumerate(values)}
+    table = RuleTable(values, tuple(index_of[out] for out in outs))
+    space.tables[key] = (scf, table)
+    if len(space.tables) > TABLES_PER_SPACE:
+        space.tables.popitem(last=False)
+    return space, table
 
 
 def check_sp(
@@ -148,45 +218,43 @@ def check_sp(
     model = instance.preference_model
 
     projected = deviation_space_size(
-        instance, {v: 1 + len(instance.report_space(v, diffusion_only=diffusion)) for v in graph.voters}
+        instance, {v: 1 + instance.report_space_size(v, diffusion_only=diffusion) for v in graph.voters}
     )
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="deviation enumeration")
 
+    space, table = rule_table(scf, instance)
+    values, outcomes = table.values, table.outcomes
+    forward, _ = preference_masks(values, model, ambiguous_is_violation)
     examined = 0
     for voter in graph.voters:
         truthful = instance.truthful_report(voter)
         true_peak = instance.true_peaks[voter]
-        space = instance.report_space(voter, diffusion_only=diffusion)
-        for others in participating_others(instance, voter):
-            profile_truth = dict(others)
-            profile_truth[voter] = truthful
-            out_truth = scf.outcome(instance, profile_truth)
-            for deviation in space:
-                if deviation == truthful:
-                    continue
-                profile_dev = dict(others)
-                profile_dev[voter] = deviation
-                out_dev = scf.outcome(instance, profile_dev)
-                examined += 1
-                verdict = compare(true_peak, out_truth, out_dev, model)
-                violates = verdict is PreferenceVerdict.WORSE or (
-                    model is PreferenceModel.ROBUST_SINGLE_PEAKED
-                    and ambiguous_is_violation
-                    and verdict is PreferenceVerdict.AMBIGUOUS
-                )
-                if violates:
+        reports = space.reports[voter]
+        truth_at = reports.index(truthful)
+        deviations = [
+            r for r, rep in enumerate(reports) if r != truth_at and (not diffusion or rep.peak == true_peak)
+        ]
+        accepts = forward[values.index(true_peak)]
+        for position, group in space.deviation_groups(voter):
+            allowed = accepts[outcomes[group[truth_at]]]
+            for k, r in enumerate(deviations):
+                if not allowed >> outcomes[group[r]] & 1:
+                    context = space.profile_at(position)
+                    out_truth = values[outcomes[group[truth_at]]]
+                    out_dev = values[outcomes[group[r]]]
                     witness = {
                         "voter": voter,
                         "true_peak": format_rational(true_peak),
                         "mode": mode,
-                        "truthful_profile": profile_to_json(profile_truth),
-                        "deviation_profile": profile_to_json(profile_dev),
+                        "truthful_profile": profile_to_json({**context, voter: truthful}),
+                        "deviation_profile": profile_to_json({**context, voter: reports[r]}),
                         "truthful_outcome": format_rational(out_truth),
                         "deviation_outcome": format_rational(out_dev),
-                        "preference_verdict": verdict.value,
+                        "preference_verdict": compare(true_peak, out_truth, out_dev, model).value,
                     }
-                    return CheckReport(prop, "Fail", witness, examined, EXACT_ON_GRID)
+                    return CheckReport(prop, "Fail", witness, examined + k + 1, EXACT_ON_GRID)
+            examined += len(deviations)
     return CheckReport(prop, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
 
 
@@ -204,13 +272,14 @@ def check_pareto(
     ``find_dominating_point`` for the definitional oracle).
     """
     graph = instance.graph
+    view = PeakBlindInstance(instance, scf.name)
     examined = 0
     for profile in enumerate_profiles(instance, ProfileFilters(truthful_peaks=True), budget=budget):
         examined += 1
         participating = participating_voters(graph, profile, validate=False)
         peaks = [instance.true_peaks[v] for v in participating]
         lo, hi = min(peaks), max(peaks)
-        out = scf.outcome(instance, profile)
+        out = scf.outcome(view, profile)
         if not lo <= out <= hi:
             witness = {
                 "profile": profile_to_json(profile),
@@ -258,10 +327,11 @@ def check_ontoness(
 ) -> CheckReport:
     """Every grid point is the outcome of at least one report profile."""
     wanted = set(instance.grid)
+    view = PeakBlindInstance(instance, scf.name)
     examined = 0
     for profile in enumerate_profiles(instance, budget=budget):
         examined += 1
-        wanted.discard(scf.outcome(instance, profile))
+        wanted.discard(scf.outcome(view, profile))
         if not wanted:
             return CheckReport("ONTO", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
     witness = {"unhit": [format_rational(q) for q in sorted(wanted)]}
@@ -281,30 +351,31 @@ def check_anonymity(
     depth, both, or not at all (full anonymity); invitations stay put, only
     peaks permute.
     """
-    graph = instance.graph
-    cached = _CachedRule(scf, instance)
-    examined = 0
-    for profile in enumerate_profiles(instance, budget=budget):
-        examined += 1
-        base = cached.outcome(profile)
-        for cls in permutation_classes(graph, profile, variant):
-            if len(cls.members) < 2:
-                continue
-            for permuted in peak_permutations(profile, cls):
-                if permuted == profile:
-                    continue
-                out = cached.outcome(permuted)
-                if out != base:
-                    witness = {
-                        "profile": profile_to_json(profile),
-                        "permuted_profile": profile_to_json(permuted),
-                        "class_key": list(cls.key),
-                        "class_members": sorted(cls.members),
-                        "outcome": format_rational(base),
-                        "permuted_outcome": format_rational(out),
-                    }
-                    return CheckReport(variant.value, "Fail", witness, examined, EXACT_ON_GRID)
-    return CheckReport(variant.value, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+    total = profile_space_size(instance, budget=budget)
+    space, table = rule_table(scf, instance)
+    outcomes = table.outcomes
+    permutations = space.permuted(variant)
+    cleared: set[int] = set()
+    for position, sid in enumerate(space.profile_sids):
+        if sid in cleared:
+            continue
+        for k, other in enumerate(permutations[sid]):
+            if outcomes[other] != outcomes[sid]:
+                profile = space.profile_at(position)
+                cls, permuted_profile = next(
+                    itertools.islice(anonymity_permutations(instance.graph, profile, variant), k, None)
+                )
+                witness = {
+                    "profile": profile_to_json(profile),
+                    "permuted_profile": profile_to_json(permuted_profile),
+                    "class_key": list(cls.key),
+                    "class_members": sorted(cls.members),
+                    "outcome": format_rational(table.values[outcomes[sid]]),
+                    "permuted_outcome": format_rational(table.values[outcomes[other]]),
+                }
+                return CheckReport(variant.value, "Fail", witness, position + 1, EXACT_ON_GRID)
+        cleared.add(sid)
+    return CheckReport(variant.value, "Pass", None, total, PASS_IS_GRID_RELATIVE)
 
 
 def check_voter_relevance(
@@ -329,47 +400,40 @@ def check_voter_relevance(
     graph = instance.graph
     scope = [v for v in graph.voters if 1 <= graph.true_depth(v) <= d]
 
-    projected = deviation_space_size(instance, {v: len(instance.report_space(v)) for v in scope})
+    projected = deviation_space_size(instance, {v: instance.report_space_size(v) for v in scope})
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="relevance enumeration")
 
     grid_types = [format_rational(q) for q in instance.grid]
     examined = 0
     witnesses: dict[VoterId, dict] = {}
+    if scope:
+        space, table = rule_table(scf, instance)
+        outcomes = table.outcomes
     for voter in scope:
-        space = instance.report_space(voter)
-        found: dict | None = None
-        for others in participating_others(instance, voter):
-            first_out: Fraction | None = None
-            first_rep: ReportedType | None = None
-            for rep in space:
-                profile = dict(others)
-                profile[voter] = rep
-                out = scf.outcome(instance, profile)
-                examined += 1
-                if first_out is None:
-                    first_out, first_rep = out, rep
-                elif out != first_out:
-                    assert first_rep is not None
-                    found = {
-                        "types": grid_types,
-                        "others": profile_to_json(others),
-                        "report_a": profile_to_json({voter: first_rep})[voter],
-                        "report_b": profile_to_json({voter: rep})[voter],
-                        "outcome_a": format_rational(first_out),
-                        "outcome_b": format_rational(out),
-                    }
-                    break
-            if found is not None:
+        for position, group in space.deviation_groups(voter):
+            first = outcomes[group[0]]
+            r = next((r for r, sid in enumerate(group) if outcomes[sid] != first), None)
+            if r is not None:
+                examined += r + 1
                 break
-        if found is None:
+            examined += len(group)
+        else:
             witness = {
                 "voter": voter,
                 "types": grid_types,
                 "note": "no witness on this grid",
             }
             return CheckReport(prop, "Fail", witness, examined, PASS_IS_GRID_RELATIVE)
-        witnesses[voter] = found
+        reports = space.reports[voter]
+        witnesses[voter] = {
+            "types": grid_types,
+            "others": profile_to_json({u: rep for u, rep in space.profile_at(position).items() if u != voter}),
+            "report_a": profile_to_json({voter: reports[0]})[voter],
+            "report_b": profile_to_json({voter: reports[r]})[voter],
+            "outcome_a": format_rational(table.values[first]),
+            "outcome_b": format_rational(table.values[outcomes[group[r]]]),
+        }
     return CheckReport(prop, "Pass", {"voters": witnesses}, examined, EXACT_ON_GRID)
 
 
@@ -382,12 +446,13 @@ def check_depth1_hull(
     """Outcome stays inside the direct children's reported-peak hull."""
     graph = instance.graph
     direct = sorted(graph.moderator_children)
+    view = PeakBlindInstance(instance, scf.name)
     examined = 0
     for profile in enumerate_profiles(instance, budget=budget):
         examined += 1
         peaks = [profile[v].peak for v in direct]
         lo, hi = min(peaks), max(peaks)
-        out = scf.outcome(instance, profile)
+        out = scf.outcome(view, profile)
         if not lo <= out <= hi:
             witness = {
                 "profile": profile_to_json(profile),

@@ -1,0 +1,224 @@
+"""Loop-based SP, anonymity and relevance checkers, kept as a test oracle.
+
+These evaluate the rule profile by profile and call ``compare`` on every
+deviation, with no shared situation table: the form the table-backed
+checkers in ``treechoice.properties`` replaced. ``test_reference_checkers``
+requires both to produce the same report JSON, byte for byte.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping
+
+from treechoice.enumeration import (
+    AnonymityVariant,
+    DEFAULT_PROFILE_BUDGET,
+    deviation_space_size,
+    enumerate_profiles,
+    participating_others,
+    peak_permutations,
+    permutation_classes,
+)
+from treechoice.model import (
+    BudgetExceededError,
+    Instance,
+    PreferenceModel,
+    PreferenceVerdict,
+    ReportedType,
+    VoterId,
+    compare,
+    format_rational,
+    situation_key,
+)
+from treechoice.properties import EXACT_ON_GRID, PASS_IS_GRID_RELATIVE, CheckReport, profile_to_json
+from treechoice.scf import SocialChoiceFunction
+
+
+class _CachedRule:
+    """Memoizes outcomes by observable situation; rules are pure, so this is safe."""
+
+    def __init__(self, scf: SocialChoiceFunction, instance: Instance) -> None:
+        self._scf = scf
+        self._instance = instance
+        self._cache: dict = {}
+
+    def outcome(self, reports: Mapping[VoterId, ReportedType]) -> Fraction:
+        key = situation_key(self._instance.graph, reports)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._scf.outcome(self._instance, reports)
+            self._cache[key] = hit
+        return hit
+
+
+def check_sp(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    mode: str = "full",
+    *,
+    ambiguous_is_violation: bool = True,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """No voter may gain by deviating from the honest report.
+
+    For every manipulator, every joint report of the others, and every
+    deviation in the mode's neighborhood (``full``: any peak and any invited
+    subset; ``diffusion_only``: true peak, any invited subset), the honest
+    report's outcome must be weakly preferred at the manipulator's true
+    peak. Under the robust preference model an AMBIGUOUS comparison counts
+    as a violation unless ``ambiguous_is_violation`` is disabled.
+    """
+    if mode not in ("full", "diffusion_only"):
+        raise ValueError(f"unknown mode {mode!r}")
+    diffusion = mode == "diffusion_only"
+    prop = "SP-D" if diffusion else "SP"
+    graph = instance.graph
+    model = instance.preference_model
+
+    projected = deviation_space_size(
+        instance, {v: 1 + len(instance.report_space(v, diffusion_only=diffusion)) for v in graph.voters}
+    )
+    if budget is not None and projected > budget:
+        raise BudgetExceededError(projected, budget, what="deviation enumeration")
+
+    examined = 0
+    for voter in graph.voters:
+        truthful = instance.truthful_report(voter)
+        true_peak = instance.true_peaks[voter]
+        space = instance.report_space(voter, diffusion_only=diffusion)
+        for others in participating_others(instance, voter):
+            profile_truth = dict(others)
+            profile_truth[voter] = truthful
+            out_truth = scf.outcome(instance, profile_truth)
+            for deviation in space:
+                if deviation == truthful:
+                    continue
+                profile_dev = dict(others)
+                profile_dev[voter] = deviation
+                out_dev = scf.outcome(instance, profile_dev)
+                examined += 1
+                verdict = compare(true_peak, out_truth, out_dev, model)
+                violates = verdict is PreferenceVerdict.WORSE or (
+                    model is PreferenceModel.ROBUST_SINGLE_PEAKED
+                    and ambiguous_is_violation
+                    and verdict is PreferenceVerdict.AMBIGUOUS
+                )
+                if violates:
+                    witness = {
+                        "voter": voter,
+                        "true_peak": format_rational(true_peak),
+                        "mode": mode,
+                        "truthful_profile": profile_to_json(profile_truth),
+                        "deviation_profile": profile_to_json(profile_dev),
+                        "truthful_outcome": format_rational(out_truth),
+                        "deviation_outcome": format_rational(out_dev),
+                        "preference_verdict": verdict.value,
+                    }
+                    return CheckReport(prop, "Fail", witness, examined, EXACT_ON_GRID)
+    return CheckReport(prop, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+
+
+def check_anonymity(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    variant: AnonymityVariant,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """Swapping peaks within one permutation class never moves the outcome.
+
+    Classes group participating voters by reported invited count, reported
+    depth, both, or not at all (full anonymity); invitations stay put, only
+    peaks permute.
+    """
+    graph = instance.graph
+    cached = _CachedRule(scf, instance)
+    examined = 0
+    for profile in enumerate_profiles(instance, budget=budget):
+        examined += 1
+        base = cached.outcome(profile)
+        for cls in permutation_classes(graph, profile, variant):
+            if len(cls.members) < 2:
+                continue
+            for permuted in peak_permutations(profile, cls):
+                if permuted == profile:
+                    continue
+                out = cached.outcome(permuted)
+                if out != base:
+                    witness = {
+                        "profile": profile_to_json(profile),
+                        "permuted_profile": profile_to_json(permuted),
+                        "class_key": list(cls.key),
+                        "class_members": sorted(cls.members),
+                        "outcome": format_rational(base),
+                        "permuted_outcome": format_rational(out),
+                    }
+                    return CheckReport(variant.value, "Fail", witness, examined, EXACT_ON_GRID)
+    return CheckReport(variant.value, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+
+
+def check_voter_relevance(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    d: int,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """Every voter within distance d of the moderator can matter somewhere.
+
+    Scope is the full-invitation depth in the true graph. A voter counts as
+    relevant when some joint report of the others admits two of its own
+    reports with different outcomes. The legal report set does not depend
+    on the voter's true peak, so one witness covers every true type; the
+    report records the witness once per voter together with all grid types
+    it covers.
+    """
+    if d < 0:
+        raise ValueError("relevance distance must be nonnegative")
+    prop = f"VR-{d}"
+    graph = instance.graph
+    scope = [v for v in graph.voters if 1 <= graph.true_depth(v) <= d]
+
+    projected = deviation_space_size(instance, {v: len(instance.report_space(v)) for v in scope})
+    if budget is not None and projected > budget:
+        raise BudgetExceededError(projected, budget, what="relevance enumeration")
+
+    grid_types = [format_rational(q) for q in instance.grid]
+    examined = 0
+    witnesses: dict[VoterId, dict] = {}
+    for voter in scope:
+        space = instance.report_space(voter)
+        found: dict | None = None
+        for others in participating_others(instance, voter):
+            first_out: Fraction | None = None
+            first_rep: ReportedType | None = None
+            for rep in space:
+                profile = dict(others)
+                profile[voter] = rep
+                out = scf.outcome(instance, profile)
+                examined += 1
+                if first_out is None:
+                    first_out, first_rep = out, rep
+                elif out != first_out:
+                    assert first_rep is not None
+                    found = {
+                        "types": grid_types,
+                        "others": profile_to_json(others),
+                        "report_a": profile_to_json({voter: first_rep})[voter],
+                        "report_b": profile_to_json({voter: rep})[voter],
+                        "outcome_a": format_rational(first_out),
+                        "outcome_b": format_rational(out),
+                    }
+                    break
+            if found is not None:
+                break
+        if found is None:
+            witness = {
+                "voter": voter,
+                "types": grid_types,
+                "note": "no witness on this grid",
+            }
+            return CheckReport(prop, "Fail", witness, examined, PASS_IS_GRID_RELATIVE)
+        witnesses[voter] = found
+    return CheckReport(prop, "Pass", {"voters": witnesses}, examined, EXACT_ON_GRID)

@@ -193,7 +193,8 @@ class _NonParticipantPeak(SocialChoiceFunction):
 def test_tabulation_rejects_rule_that_reads_non_participants():
     inst = make_chain(2, 3)
     rule = _NonParticipantPeak()
-    assert check_sp(rule, inst).passed
+    with pytest.raises(ConfigurationError, match="observable situation"):
+        check_sp(rule, inst)
     with pytest.raises(ConfigurationError, match="observable situation") as exc:
         tabulate_scf(inst, rule)
     assert str(exc.value).count("'j': {'peak'") == 2

@@ -182,12 +182,16 @@ def test_compare_robust_matches_order_enumeration_oracle():
                 assert compare(peak, a, b, robust) is expected, (peak, a, b)
 
 
-def test_report_space_sizes():
+def test_report_space_sizes(fig2_instance):
     leaf = TrueType(F(0), frozenset())
     assert len(report_space(leaf, GRID3)) == 3
     two = TrueType(F(0), frozenset(["x", "y"]))
     assert len(report_space(two, GRID3)) == 12
     assert len(report_space(two, GRID3, diffusion_only=True)) == 4
+    for voter in fig2_instance.graph.voters:
+        for diffusion in (False, True):
+            built = fig2_instance.report_space(voter, diffusion_only=diffusion)
+            assert fig2_instance.report_space_size(voter, diffusion_only=diffusion) == len(built)
 
 
 def test_report_space_contains_truthful_and_full_invitation():

@@ -1,0 +1,162 @@
+"""The shared situation space: differential gate, rule contract, budgets and laziness."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from fractions import Fraction
+
+import pytest
+
+import reference_checkers as reference
+import treechoice.properties as properties
+from treechoice import (
+    AnonymityVariant,
+    BudgetExceededError,
+    ConfigurationError,
+    CspOptions,
+    DirectChildrenMedian,
+    Instance,
+    InvitationGraph,
+    PreferenceModel,
+    SocialChoiceFunction,
+    check_anonymity,
+    check_depth1_hull,
+    check_ontoness,
+    check_pareto,
+    check_sp,
+    check_voter_relevance,
+    parse_scf,
+    situation_key,
+    tabulate_scf,
+)
+from treechoice.enumeration import SPACE_CACHE_SIZE, situation_space
+from treechoice.fileio import make_chain, make_fig2, uniform_grid
+from conftest import instances_for, tree_shapes
+
+F = Fraction
+GRID3 = uniform_grid(3)
+RULES = ("direct-median", "depth-weighted-median", "participant-median", "fixed:1/2")
+
+
+def _reports(module, rule, inst: Instance) -> list[str]:
+    """Report JSON of every SP, AN and VR variant, as the checker ``module`` gives it."""
+    out = []
+    flags = (True, False) if inst.preference_model is PreferenceModel.ROBUST_SINGLE_PEAKED else (True,)
+    for mode in ("full", "diffusion_only"):
+        for flag in flags:
+            out.append(module.check_sp(rule, inst, mode, ambiguous_is_violation=flag).to_json())
+    out.extend(module.check_anonymity(rule, inst, variant).to_json() for variant in AnonymityVariant)
+    out.extend(module.check_voter_relevance(rule, inst, d).to_json() for d in range(4))
+    return [json.dumps(doc) for doc in out]
+
+
+def test_table_checkers_match_reference_loops():
+    symmetric = [inst for graph in tree_shapes(3, 3) for inst in instances_for(graph, GRID3)]
+    robust = [
+        dataclasses.replace(inst, preference_model=PreferenceModel.ROBUST_SINGLE_PEAKED) for inst in symmetric
+    ]
+    instances = symmetric + robust
+    rules = [parse_scf(name) for name in RULES]
+    expected = {
+        (k, name): _reports(reference, rule, inst)
+        for k, inst in enumerate(instances)
+        for name, rule in zip(RULES, rules)
+    }
+    # forwards, then backwards: a table or space leaking one peak assignment
+    # into another shows as a difference on the way back
+    order = list(enumerate(instances))
+    mismatches = [
+        (k, name)
+        for k, inst in order + order[::-1]
+        for name, rule in zip(RULES, rules)
+        if _reports(properties, rule, inst) != expected[(k, name)]
+    ]
+    assert len(instances) == 258
+    assert mismatches == []
+
+
+class _TruePeakReader(SocialChoiceFunction):
+    """Returns the moderator's first child's true peak: a rule may not see it."""
+
+    name = "true-peak-reader"
+
+    def outcome(self, instance, reports):
+        return instance.true_peaks[min(instance.graph.moderator_children)]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rule, inst: check_sp(rule, inst),
+        lambda rule, inst: check_anonymity(rule, inst, AnonymityVariant.FULL),
+        lambda rule, inst: check_voter_relevance(rule, inst, 1),
+        lambda rule, inst: tabulate_scf(inst, rule),
+        lambda rule, inst: check_pareto(rule, inst),
+        lambda rule, inst: check_ontoness(rule, inst),
+        lambda rule, inst: check_depth1_hull(rule, inst),
+    ],
+    ids=[
+        "check_sp", "check_anonymity", "check_voter_relevance", "tabulate_scf",
+        "check_pareto", "check_ontoness", "check_depth1_hull",
+    ],
+)
+def test_rule_that_reads_true_peaks_is_rejected(run):
+    with pytest.raises(ConfigurationError, match="'true-peak-reader' read instance.true_peaks"):
+        run(_TruePeakReader(), make_chain(2, 3))
+
+
+def test_rules_with_different_phantoms_get_separate_tables():
+    graph = InvitationGraph(frozenset(["a", "b"]), {})
+    inst = Instance(graph, {"a": F(0), "b": F(1)}, GRID3)
+    low, high = DirectChildrenMedian((F(0),)), DirectChildrenMedian((F(1),))
+    first = tabulate_scf(inst, low)
+    assert tabulate_scf(inst, high) != first
+    assert tabulate_scf(inst, low) == first
+    assert properties.rule_table(low, inst)[1] is not properties.rule_table(high, inst)[1]
+    truthful = situation_key(graph, inst.truthful_reports())
+    assert (first[truthful], tabulate_scf(inst, high)[truthful]) == (F(0), F(1))
+
+
+def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
+    dcm = DirectChildrenMedian()
+    assert check_sp(dcm, fig2_instance).passed  # fig2's space and table are now cached
+    calls = [
+        lambda m: m.check_sp(dcm, fig2_instance, budget=10),
+        lambda m: m.check_anonymity(dcm, fig2_instance, AnonymityVariant.FULL, budget=10),
+        lambda m: m.check_voter_relevance(dcm, fig2_instance, 1, budget=10),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError) as new:
+            call(properties)
+        with pytest.raises(BudgetExceededError) as old:
+            call(reference)
+        assert str(new.value) == str(old.value)
+    with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
+        tabulate_scf(fig2_instance, dcm, options=CspOptions(profile_budget=10))
+
+
+class _AlwaysRaises(SocialChoiceFunction):
+    name = "always-raises"
+
+    def outcome(self, instance, reports):
+        raise RuntimeError("evaluated")
+
+
+def test_relevance_with_empty_scope_never_tabulates():
+    inst = make_fig2()
+    rule = _AlwaysRaises()
+    report = check_voter_relevance(rule, inst, 0)
+    assert report.to_json() == reference.check_voter_relevance(rule, inst, 0).to_json()
+    assert report.passed and report.profiles_examined == 0
+    assert all(entry[0] is not rule for entry in situation_space(inst).tables.values())
+    with pytest.raises(RuntimeError, match="evaluated"):
+        check_voter_relevance(rule, inst, 1)
+
+
+def test_space_cache_is_bounded():
+    # one voter on grids of 2, 3, ... points: one shape, a new grid each
+    singles = [make_chain(1, points) for points in range(2, SPACE_CACHE_SIZE + 3)]
+    spaces = [situation_space(inst) for inst in singles]
+    assert situation_space(singles[-1]) is spaces[-1]
+    assert situation_space(singles[0]) is not spaces[0]  # evicted, rebuilt
