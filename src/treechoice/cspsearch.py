@@ -10,23 +10,25 @@ relevance becomes a lazy at-least-one-pair-differs disjunction. Backtracking
 with arc consistency then decides satisfiability completely: a Sat verdict
 comes with a full table, an Unsat verdict means exhaustive refutation, and a
 timeout is reported as inconclusive, never as Unsat.
+
+``encode`` reads the situations, deviation groups and anonymity classes of
+the shared ``SituationSpace`` (the one the checkers scan) and emits
+integers: a domain is a bitmask over grid indices and an SP constraint names
+its true peak by grid index. ``solve`` works on the same integers and reads
+preferences from one table filled by the exact ``compare``, so Fractions
+appear only at the boundary: in situation keys and in Sat models.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .enumeration import (
-    AnonymityVariant,
-    enumerate_profiles,
-    participating_others,
-    permutation_classes,
-    profile_space_size,
-)
+from .enumeration import AnonymityVariant, SituationSpace, profile_space_size, situation_space
 from .model import (
     BudgetExceededError,
     ConfigurationError,
@@ -90,13 +92,19 @@ class VrConstraint:
 
 @dataclass
 class Csp:
+    """Variables are ``keys``; a domain is a bitmask over grid indices.
+
+    An SP constraint ``(t, d, p)`` asks that a voter with true peak
+    ``grid[p]`` weakly prefer variable ``t``'s outcome to variable ``d``'s.
+    """
+
     instance: Instance
     properties: tuple[str, ...]
     options: CspOptions
     keys: tuple[SituationKey, ...]
-    domains: list[tuple[Fraction, ...]]
+    domains: list[int]
     equalities: tuple[tuple[int, int], ...]
-    sp_constraints: tuple[tuple[int, int, Fraction], ...]
+    sp_constraints: tuple[tuple[int, int, int], ...]
     vr_constraints: tuple[VrConstraint, ...]
 
     @property
@@ -112,7 +120,8 @@ class Csp:
     def to_json(self) -> dict:
         sizes: dict[int, int] = {}
         for dom in self.domains:
-            sizes[len(dom)] = sizes.get(len(dom), 0) + 1
+            size = dom.bit_count()
+            sizes[size] = sizes.get(size, 0) + 1
         return {
             "schema_version": 1,
             "variables": len(self.keys),
@@ -161,96 +170,102 @@ def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
     return out
 
 
+def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
+    """The instance's shared situation space, within the profile and variable budgets."""
+    profile_space_size(instance, budget=options.profile_budget)
+    space = situation_space(instance)
+    if len(space.keys) > options.variable_budget:
+        raise BudgetExceededError(len(space.keys), options.variable_budget, what="CSP variable")
+    return space
+
+
 def collect_situations(instance: Instance, options: CspOptions | None = None) -> tuple[SituationKey, ...]:
-    """Every observable situation reachable from some legal report profile."""
-    options = options or CspOptions()
-    graph = instance.graph
-    keys: set[SituationKey] = set()
-    for profile in enumerate_profiles(instance, budget=options.profile_budget):
-        keys.add(situation_key(graph, profile))
-        if len(keys) > options.variable_budget:
-            raise BudgetExceededError(len(keys), options.variable_budget, what="CSP variable")
-    return tuple(sorted(keys))
+    """Every observable situation reachable from some legal report profile, sorted."""
+    space = _situation_space(instance, options or CspOptions())
+    return tuple(space.keys[sid] for sid in space.key_order())
 
 
-def _swap_peaks(key: SituationKey, a: int, b: int) -> SituationKey:
-    entries = list(key)
-    va, pa, ia = entries[a]
-    vb, pb, ib = entries[b]
-    entries[a] = (va, pb, ia)
-    entries[b] = (vb, pa, ib)
-    return tuple(entries)
+def _hull(peaks: Iterable[int]) -> int:
+    """The grid indices from the lowest to the highest of ``peaks``, as a bitmask."""
+    peaks = list(peaks)
+    return (1 << max(peaks) + 1) - (1 << min(peaks))
 
 
 def encode(instance: Instance, properties: Iterable[str], options: CspOptions | None = None) -> Csp:
-    """Translate a property set into a finite CSP over situation variables."""
+    """Translate a property set into a finite CSP over situation variables.
+
+    The variables are the situations of the shared space, numbered by
+    ascending key. Domains are bitmasks over grid indices and an SP
+    constraint ``(t, d, p)`` names the grid index ``p`` of the true peak;
+    Fractions appear only in the keys.
+    """
     options = options or CspOptions()
     props = normalize_properties(properties)
     graph = instance.graph
-    grid = instance.grid
+    points = len(instance.grid)
 
-    keys = collect_situations(instance, options)
-    index = {key: i for i, key in enumerate(keys)}
+    space = _situation_space(instance, options)
+    order = space.key_order()
+    var = [0] * len(order)
+    for i, sid in enumerate(order):
+        var[sid] = i
+    invitations = space.invitations
+    direct = [k for k, v in enumerate(graph.voters) if v in graph.moderator_children]
 
-    domains: list[tuple[Fraction, ...]] = []
-    for key in keys:
-        dom = grid
+    domains: list[int] = []
+    for sid in order:
+        digits = space.digits[sid]
+        mask = (1 << points) - 1
         if "PE" in props:
-            peaks = [p for _, p, _ in key]
-            lo, hi = min(peaks), max(peaks)
-            dom = tuple(q for q in dom if lo <= q <= hi)
+            mask &= _hull(r // n for r, n in zip(digits, invitations) if r >= 0)
         if options.depth1_hull:
-            d1 = [p for v, p, _ in key if v in graph.moderator_children]
-            lo1, hi1 = min(d1), max(d1)
-            dom = tuple(q for q in dom if lo1 <= q <= hi1)
-        domains.append(tuple(dom))
+            mask &= _hull(digits[k] // invitations[k] for k in direct)
+        domains.append(mask)
 
     equalities: set[tuple[int, int]] = set()
     for token in props:
         if not token.startswith("AN"):
             continue
-        variant = AnonymityVariant(token)
-        for key in keys:
-            reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-            base = index[key]
-            for cls in permutation_classes(graph, reports, variant):
-                positions = [pos for pos, (v, _, _) in enumerate(key) if v in cls.members]
-                for ai in range(len(positions)):
-                    for bi in range(ai + 1, len(positions)):
-                        other = index[_swap_peaks(key, positions[ai], positions[bi])]
-                        if other != base:
-                            equalities.add((min(base, other), max(base, other)))
+        for sid, classes in enumerate(space.classes(AnonymityVariant(token))):
+            base = var[sid]
+            for members in classes:
+                for pair in itertools.combinations(members, 2):
+                    a, b = space.peaks(sid, pair)
+                    if a != b:
+                        other = var[space.with_peaks(sid, pair, (b, a))]
+                        equalities.add((min(base, other), max(base, other)))
 
     sp_mode = "full" if "SP" in props else ("diffusion" if "SP-D" in props else None)
-    sp_constraints: set[tuple[int, int, Fraction]] = set()
+    sp_constraints: set[tuple[int, int, int]] = set()
     vr_scope: set[VoterId] = set()
     for token in props:
         if token.startswith("VR-"):
             d = int(token[3:])
             vr_scope.update(v for v in graph.voters if 1 <= graph.true_depth(v) <= d)
     vr_constraints: list[VrConstraint] = []
-    for voter in graph.voters:
+    for k, voter in enumerate(graph.voters):
         if sp_mode is None and voter not in vr_scope:
             continue
-        children = graph.true_children(voter)
-        space = instance.report_space(voter)
+        n = invitations[k]
+        seen: set[tuple[int, ...]] = set()
         groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-        for others in participating_others(instance, voter):
-            profile = dict(others)
-            rep_var: dict[ReportedType, int] = {}
-            for rep in space:
-                profile[voter] = rep
-                rep_var[rep] = index[situation_key(graph, profile)]
+        for _, group in space.deviation_groups(voter):
+            sids = tuple(group)
+            if sids in seen:  # contexts that differ only in non-participants
+                continue
+            seen.add(sids)
+            rep_var = [var[sid] for sid in sids]
             if sp_mode is not None:
-                for peak in grid:
-                    var_t = rep_var[ReportedType(peak, children)]
-                    for dev, var_d in rep_var.items():
-                        if var_d != var_t and (sp_mode == "full" or dev.peak == peak):
-                            sp_constraints.add((var_t, var_d, peak))
+                # report p*n + m claims peak p and invites the children in mask m,
+                # so p*n + n-1 is the truthful report of a voter whose peak is p
+                for p in range(points):
+                    var_t = rep_var[p * n + n - 1]
+                    devs = rep_var if sp_mode == "full" else rep_var[p * n : (p + 1) * n]
+                    sp_constraints.update((var_t, var_d, p) for var_d in devs if var_d != var_t)
             if voter in vr_scope:
-                group = tuple(sorted(set(rep_var.values())))
-                if len(group) >= 2:
-                    groups[group] = None
+                members = tuple(sorted(set(rep_var)))
+                if len(members) >= 2:
+                    groups[members] = None
         if voter in vr_scope:
             vr_constraints.append(VrConstraint(voter, tuple(groups)))
 
@@ -258,7 +273,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
         instance=instance,
         properties=props,
         options=options,
-        keys=keys,
+        keys=tuple(space.keys[sid] for sid in order),
         domains=domains,
         equalities=tuple(sorted(equalities)),
         sp_constraints=tuple(sorted(sp_constraints)),
@@ -296,7 +311,6 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     """
     t0 = time.monotonic()
     grid = csp.instance.grid
-    position = {q: k for k, q in enumerate(grid)}
     n = len(csp.keys)
     nodes = 0
 
@@ -320,19 +334,11 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
 
     rep_of = [find(i) for i in range(n)]
     dom: dict[int, int] = {}
-    for i in range(n):
-        mask = 0
-        for q in csp.domains[i]:
-            mask |= 1 << position[q]
-        r = rep_of[i]
+    for r, mask in zip(rep_of, csp.domains):
         dom[r] = dom[r] & mask if r in dom else mask
 
     sp = sorted(
-        {
-            (rep_of[t], rep_of[d], position[p])
-            for t, d, p in csp.sp_constraints
-            if rep_of[t] != rep_of[d]
-        }
+        {(rep_of[t], rep_of[d], p) for t, d, p in csp.sp_constraints if rep_of[t] != rep_of[d]}
     )
     vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
     vr_collapsed: VoterId | None = None
@@ -540,12 +546,10 @@ def verify_model(
 ) -> list[CheckReport]:
     """Replay a table through the property checkers; Sat models must pass all."""
     props = normalize_properties(properties)
-    reachable = collect_situations(instance)
-    missing = [key for key in reachable if key not in model]
+    space = _situation_space(instance, CspOptions())
+    missing = sum(1 for key in space.keys if key not in model)
     if missing:
-        raise ConfigurationError(
-            f"incomplete table: {len(missing)} reachable situations unassigned"
-        )
+        raise ConfigurationError(f"incomplete table: {missing} reachable situations unassigned")
     scf = TabulatedScf(model)
     kwargs = {} if budget is None else {"budget": budget}
     return [run_check(scf, instance, token, **kwargs) for token in props]

@@ -25,7 +25,6 @@ from .model import (
     VoterId,
     participating_voters,
     reported_depths,
-    situation_key,
 )
 
 DEFAULT_PROFILE_BUDGET = 2_000_000
@@ -250,39 +249,91 @@ class SituationSpace:
     needs one for a witness rebuilds it from its position (``profile_at``).
 
     - ``reports[voter]`` is the voter's ``report_space``, which does not
-      depend on its true peak.
+      depend on its true peak. A report's index there is its peak's grid
+      index times ``invitations[k]``, plus its invited subset's bitmask over
+      the sorted children, where ``k`` is the voter's index in
+      ``graph.voters`` and ``invitations[k]`` counts its invited subsets.
+    - ``digits[s][k]`` is the index of voter ``k``'s report in situation
+      ``s``, or -1 when the voter does not take part; ``keys[s]`` spells the
+      same situation out.
     - ``profile_sids[i]`` is the situation of the ``i``-th profile of
       ``enumerate_profiles``.
     - ``deviation_groups(voter)`` yields, for each context of
       ``participating_others`` in order, the position of the context's
       profile where the voter reports ``reports[voter][0]``, and the
       situation of each of the voter's reports in ``report_space`` order.
-    - ``permuted(variant)`` lists, for each situation, its peak-permuted
+    - ``classes(variant)`` lists, for each situation, its anonymity classes
+      of two or more voters; ``permuted(variant)`` lists its peak-permuted
       situations in ``check_anonymity``'s order.
+    - ``key_order()`` lists the situations by ascending key.
     - ``tables`` maps a rule to its outcome per situation; the checkers fill
       it (``properties.rule_table``), at most ``TABLES_PER_SPACE`` entries.
     """
 
     def __init__(self, instance: Instance) -> None:
         graph = instance.graph
-        index: dict[SituationKey, int] = {}
-        entries: dict = {}  # one copy of each (voter, peak, invited) entry, shared by the keys
-        sids: list[int] = []
-        for profile in enumerate_profiles(instance, budget=None):
-            key = situation_key(graph, profile)
-            sid = index.get(key)
-            if sid is None:
-                sid = index[tuple(entries.setdefault(entry, entry) for entry in key)] = len(index)
-            sids.append(sid)
+        voters = graph.voters
         self.graph = graph
-        self.reports = {v: instance.report_space(v) for v in graph.voters}
-        self.keys: tuple[SituationKey, ...] = tuple(index)
+        self.reports = {v: instance.report_space(v) for v in voters}
+        self.invitations = [1 << len(graph.true_children(v)) for v in voters]
+        sizes = [len(self.reports[v]) for v in voters]
+        strides = [math.prod(sizes[k + 1 :]) for k in range(len(voters))]
+        bit = {v: 1 << k for k, v in enumerate(voters)}
+        # per voter and report: its key entry, shared by every key that holds
+        # it, and the bits of the voters it invites
+        entries = [[(v, rep.peak, tuple(sorted(rep.invited))) for rep in self.reports[v]] for v in voters]
+        invites = [[sum(bit[c] for c in rep.invited) for rep in self.reports[v]] for v in voters]
+
+        # One walk in tree order, parents first: a voter that takes part
+        # branches on its reports, any other is free. Each leaf is one
+        # situation: who takes part, where its profiles start with every free
+        # digit 0, and the report digits.
+        leaves = [(sum(bit[v] for v in graph.moderator_children), 0, (-1,) * len(voters))]
+        frontier = sorted(graph.moderator_children)
+        while frontier:
+            k = voters.index(frontier.pop(0))
+            frontier.extend(sorted(graph.true_children(voters[k])))
+            grown = []
+            for reached, start, digits in leaves:
+                if reached >> k & 1:
+                    head, tail = digits[:k], digits[k + 1 :]
+                    grown.extend(
+                        (reached | invites[k][r], start + r * strides[k], head + (r,) + tail)
+                        for r in range(sizes[k])
+                    )
+                else:
+                    grown.append((reached, start, digits))
+            leaves = grown
+        leaves.sort(key=lambda leaf: leaf[1])  # ids by first appearance in enumerate_profiles
+
+        sids = [0] * math.prod(sizes)
+        for sid, (reached, start, _) in enumerate(leaves):
+            free = [k for k in range(len(voters)) if not reached >> k & 1]
+            step = run = 1  # the innermost free digits cover `run` positions `step` apart
+            if free:
+                k = free.pop()
+                step, run = strides[k], sizes[k]
+                while free and strides[free[-1]] == step * run:
+                    run *= sizes[free.pop()]
+            starts = [start]
+            for k in free:
+                starts = [s + r * strides[k] for s in starts for r in range(sizes[k])]
+            fill = [sid] * run
+            for s in starts:
+                sids[s : s + run * step : step] = fill
+
+        self.digits: list[tuple[int, ...]] = [digits for _, _, digits in leaves]
+        self.keys: tuple[SituationKey, ...] = tuple(
+            tuple(entries[k][r] for k, r in enumerate(digits) if r >= 0) for digits in self.digits
+        )
         self.profile_sids = sids
         self.tables: OrderedDict = OrderedDict()
-        bit = {v: 1 << k for k, v in enumerate(graph.voters)}
-        self._participants = [sum(bit[v] for v, _, _ in key) for key in self.keys]
+        self._participants = [reached for reached, _, _ in leaves]
+        self._strides = strides
         self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
+        self._classes: dict[AnonymityVariant, list[tuple[tuple[int, ...], ...]]] = {}
         self._permuted: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
+        self._key_order: list[int] | None = None
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
         """The profile at ``position`` in ``enumerate_profiles`` order."""
@@ -301,7 +352,7 @@ class SituationSpace:
             # never depends on the voter's own report
             voters = self.graph.voters
             k = voters.index(voter)
-            stride = math.prod(len(self.reports[v]) for v in voters[k + 1:])
+            stride = self._strides[k]
             block = stride * len(self.reports[voter])
             sids = self.profile_sids
             starts = [
@@ -315,21 +366,89 @@ class SituationSpace:
         for pos in starts:
             yield pos, self.profile_sids[pos : pos + block : stride]
 
+    def peaks(self, sid: int, members: Sequence[int]) -> tuple[int, ...]:
+        """The grid indices of the peaks voters ``members`` report in situation ``sid``."""
+        digits = self.digits[sid]
+        return tuple(digits[k] // self.invitations[k] for k in members)
+
+    def with_peaks(self, sid: int, members: Sequence[int], peaks: Sequence[int]) -> int:
+        """Situation ``sid`` with voters ``members`` reporting peaks ``peaks`` instead.
+
+        Invitations stay put, so the same voters take part.
+        """
+        digits = list(self.digits[sid])
+        for k, peak in zip(members, peaks):
+            n = self.invitations[k]
+            digits[k] = peak * n + digits[k] % n
+        # the profile where every voter not taking part reports its first report
+        return self.profile_sids[sum(r * stride for r, stride in zip(digits, self._strides) if r > 0)]
+
+    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[int, ...], ...]]:
+        """Per situation, its ``permutation_classes`` of two or more voters, as voter indices.
+
+        Classes read only who takes part and what they invite, so they are
+        computed once per such pattern.
+        """
+        out = self._classes.get(variant)
+        if out is None:
+            index = {v: k for k, v in enumerate(self.graph.voters)}
+            by_pattern: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+            out = []
+            for key, digits in zip(self.keys, self.digits):
+                pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, self.invitations))
+                classes = by_pattern.get(pattern)
+                if classes is None:
+                    reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
+                    classes = by_pattern[pattern] = tuple(
+                        tuple(sorted(index[v] for v in cls.members))
+                        for cls in permutation_classes(self.graph, reports, variant)
+                        if len(cls.members) >= 2
+                    )
+                out.append(classes)
+            self._classes[variant] = out
+        return out
+
     def permuted(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
+        """Per situation, the situations of ``anonymity_permutations``, in its order."""
         out = self._permuted.get(variant)
         if out is None:
-            index = {key: sid for sid, key in enumerate(self.keys)}
             out = []
-            for key in self.keys:
-                reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-                out.append(
-                    tuple(
-                        index[tuple((v, permuted[v].peak, inv) for v, _, inv in key)]
-                        for _, permuted in anonymity_permutations(self.graph, reports, variant)
+            for sid, classes in enumerate(self.classes(variant)):
+                found: list[int] = []
+                for members in classes:
+                    peaks = self.peaks(sid, members)
+                    found.extend(
+                        self.with_peaks(sid, members, perm)
+                        for perm in itertools.permutations(peaks)
+                        if perm != peaks
                     )
-                )
+                out.append(tuple(found))
             self._permuted[variant] = out
         return out
+
+    def key_order(self) -> list[int]:
+        """Situation ids by ascending key, compared as ints.
+
+        A key lists its entries by voter, and an entry compares by voter,
+        then peak, then invited tuple; each report is ranked that way among
+        its voter's reports, after every report of the voters before it.
+        """
+        if self._key_order is None:
+            ranks: list[list[int]] = []
+            offset = 0
+            for v, n in zip(self.graph.voters, self.invitations):
+                reports = self.reports[v]
+                by_entry = sorted(range(len(reports)), key=lambda r: (r // n, sorted(reports[r].invited)))
+                rank = [0] * len(reports)
+                for position, r in enumerate(by_entry):
+                    rank[r] = offset + position
+                ranks.append(rank)
+                offset += len(reports)
+            self._key_order = sorted(
+                range(len(self.keys)),
+                key=lambda sid: tuple(ranks[k][r] for k, r in enumerate(self.digits[sid]) if r >= 0),
+            )
+        return self._key_order
 
 
 def anonymity_permutations(

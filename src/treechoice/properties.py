@@ -11,7 +11,9 @@ The incentive, anonymity and relevance checkers evaluate no rule themselves:
 they scan the rule's table on the instance's situation space
 (``rule_table``), which every peak assignment of one tree shape shares, and
 rebuild profiles only for the witnesses they report. Every checker shows the
-rule a ``PeakBlindInstance``, never the true peaks.
+rule a ``PeakBlindInstance``, never the true peaks. Each projects the size
+of every profile space it reads against its budget first, whether or not
+the table is already cached.
 """
 
 from __future__ import annotations
@@ -222,6 +224,7 @@ def check_sp(
     )
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="deviation enumeration")
+    profile_space_size(instance, budget=budget)  # the table covers every profile
 
     space, table = rule_table(scf, instance)
     values, outcomes = table.values, table.outcomes
@@ -408,6 +411,7 @@ def check_voter_relevance(
     examined = 0
     witnesses: dict[VoterId, dict] = {}
     if scope:
+        profile_space_size(instance, budget=budget)  # the table covers every profile
         space, table = rule_table(scf, instance)
         outcomes = table.outcomes
     for voter in scope:

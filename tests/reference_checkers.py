@@ -4,6 +4,8 @@ These evaluate the rule profile by profile and call ``compare`` on every
 deviation, with no shared situation table: the form the table-backed
 checkers in ``treechoice.properties`` replaced. ``test_reference_checkers``
 requires both to produce the same report JSON, byte for byte.
+``situation_numbering`` is the same kind of oracle for the situation
+space's constructor.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from treechoice.model import (
     PreferenceModel,
     PreferenceVerdict,
     ReportedType,
+    SituationKey,
     VoterId,
     compare,
     format_rational,
@@ -33,6 +36,16 @@ from treechoice.model import (
 )
 from treechoice.properties import EXACT_ON_GRID, PASS_IS_GRID_RELATIVE, CheckReport, profile_to_json
 from treechoice.scf import SocialChoiceFunction
+
+
+def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], list[int]]:
+    """Keys in order of first appearance, and each profile's key id, one ``situation_key`` per profile."""
+    index: dict[SituationKey, int] = {}
+    sids = [
+        index.setdefault(situation_key(instance.graph, profile), len(index))
+        for profile in enumerate_profiles(instance, budget=None)
+    ]
+    return tuple(index), sids
 
 
 class _CachedRule:

@@ -29,6 +29,7 @@ from treechoice import (
     check_sp,
     compare,
     encode,
+    format_rational,
     run_check,
     situation_key,
     solve,
@@ -87,8 +88,14 @@ def test_collect_situations_counts():
 
 
 def test_variable_budget_is_enforced():
-    with pytest.raises(BudgetExceededError):
+    # the error names the whole situation count, which the shared space knows up front
+    with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
         collect_situations(make_chain(3, 3), CspOptions(variable_budget=10))
+    with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
+        encode(make_chain(3, 3), ["PE"], CspOptions(variable_budget=10))
+    # the profiles are projected before the space is built or read
+    with pytest.raises(BudgetExceededError, match="profile enumeration size 108 exceeds budget 107"):
+        encode(make_chain(3, 3), ["PE"], CspOptions(profile_budget=107))
 
 
 def test_encode_links_equal_structure_swaps_on_chain():
@@ -116,6 +123,11 @@ def test_pe_only_is_trivially_sat():
     for key, value in result.model.items():
         peaks = [p for _, p, _ in key]
         assert min(peaks) <= value <= max(peaks)
+    for key, mask in zip(csp.keys, csp.domains):
+        peaks = [p for _, p, _ in key]
+        assert [q for k, q in enumerate(inst.grid) if mask >> k & 1] == [
+            q for q in inst.grid if min(peaks) <= q <= max(peaks)
+        ]
 
 
 def test_structure_anonymity_impossible_on_chain():
@@ -277,8 +289,44 @@ def test_solve_reports_phase_times(inst, props, verdict, refuted_by):
     assert all(seconds >= 0 for seconds in phases.values())
 
 
+def _csp_dump(csp: Csp) -> str:
+    """Canonical JSON of an encoding, with grid indices spelled as their grid points."""
+    grid = csp.instance.grid
+    return json.dumps(
+        {
+            "keys": [[[v, format_rational(p), list(inv)] for v, p, inv in key] for key in csp.keys],
+            "domains": [[format_rational(q) for q in _values(csp, mask)] for mask in csp.domains],
+            "equalities": [list(pair) for pair in csp.equalities],
+            "sp": [[t, d, format_rational(grid[p])] for t, d, p in csp.sp_constraints],
+            "vr": [[c.voter, [list(g) for g in c.groups]] for c in csp.vr_constraints],
+            "csp": csp.to_json(),
+        }
+    )
+
+
+# sha256 of _csp_dump, taken from the encoder that enumerated profiles and
+# keyed its constraints on Fractions; the integer encoder must reproduce it
+ENCODING_SHA256 = {
+    "fig2": "3277329291d95fe143def328ebc6f6ee96b612b5988f2885a2b1cfd84e27ce41",
+    "chain-3-grid-5": "bf32e2bb55d3c2d4e96bb4f11d963314bb702b341fe0c55f8c0946d5d591d922",
+}
+
+
+@pytest.mark.parametrize(
+    "name, inst, props",
+    [
+        ("fig2", make_fig2(), ["SP", "PE", "AN-SD", "VR-2"]),
+        ("chain-3-grid-5", make_chain(3, 5), ["SP", "PE", "AN-S"]),
+    ],
+)
+def test_encoding_matches_golden_digest(name, inst, props):
+    digest = hashlib.sha256(_csp_dump(encode(inst, props)).encode()).hexdigest()
+    assert digest == ENCODING_SHA256[name]
+
+
 # Differential test: random CSPs over the 12 situations of a two-voter chain,
-# decided by brute force over every assignment with the Fraction ``compare``.
+# decided by brute force over every assignment with the Fraction ``compare``
+# on the grid points the masks and indices name.
 _CHAIN2 = make_chain(2, 3)
 _CHAIN2_KEYS = collect_situations(_CHAIN2)
 _ASSIGNMENT_CAP = 5_000
@@ -297,12 +345,18 @@ def _accepts(model: PreferenceModel, ambiguous_violates: bool, peak, truthful, d
     return not (verdict is PreferenceVerdict.AMBIGUOUS and ambiguous_violates)
 
 
+def _values(csp: Csp, mask: int) -> tuple[Fraction, ...]:
+    return tuple(q for k, q in enumerate(csp.instance.grid) if mask >> k & 1)
+
+
 def _satisfies(csp: Csp, values) -> bool:
+    """Whether an assignment of grid points satisfies every constraint."""
+    grid = csp.instance.grid
     model = csp.instance.preference_model
     flag = csp.options.robust_ambiguous_violation
     return (
         all(values[a] == values[b] for a, b in csp.equalities)
-        and all(_accepts(model, flag, p, values[t], values[d]) for t, d, p in csp.sp_constraints)
+        and all(_accepts(model, flag, grid[p], values[t], values[d]) for t, d, p in csp.sp_constraints)
         and all(
             any(len({values[v] for v in group}) >= 2 for group in c.groups)
             for c in csp.vr_constraints
@@ -313,17 +367,16 @@ def _satisfies(csp: Csp, values) -> bool:
 @st.composite
 def _synthetic_csps(draw) -> Csp:
     n = len(_CHAIN2_KEYS)
-    grid = _CHAIN2.grid
+    points = len(_CHAIN2.grid)
     var = st.integers(0, n - 1)
-    domains = [
-        tuple(sorted(draw(st.sets(st.sampled_from(grid), min_size=1))))
-        for _ in range(n)
-    ]
-    while math.prod(map(len, domains)) > _ASSIGNMENT_CAP:
-        widest = max(range(n), key=lambda i: len(domains[i]))
-        domains[widest] = domains[widest][:1]
+    domains = [draw(st.integers(1, (1 << points) - 1)) for _ in range(n)]
+    while math.prod(mask.bit_count() for mask in domains) > _ASSIGNMENT_CAP:
+        widest = max(range(n), key=lambda i: domains[i].bit_count())
+        domains[widest] &= -domains[widest]  # keep the lowest grid point
     pairs = st.tuples(var, var).filter(lambda pair: pair[0] != pair[1])
-    sp = draw(st.sets(st.tuples(var, var, st.sampled_from(grid)).filter(lambda c: c[0] != c[1]), max_size=16))
+    sp = draw(
+        st.sets(st.tuples(var, var, st.integers(0, points - 1)).filter(lambda c: c[0] != c[1]), max_size=16)
+    )
     equalities = draw(st.sets(pairs.map(lambda pair: tuple(sorted(pair))), max_size=4))
     group = st.lists(var, min_size=2, max_size=3, unique=True).map(lambda g: tuple(sorted(g)))
     vr = draw(
@@ -348,11 +401,12 @@ def _synthetic_csps(draw) -> Csp:
 @settings(max_examples=200, deadline=None)
 @given(_synthetic_csps())
 def test_solve_agrees_with_brute_force(csp):
-    sat = any(_satisfies(csp, values) for values in itertools.product(*csp.domains))
+    domains = [_values(csp, mask) for mask in csp.domains]
+    sat = any(_satisfies(csp, values) for values in itertools.product(*domains))
     for seed in (None, 1):
         result = solve(csp, order_seed=seed)
         assert result.sat == sat
         if result.sat:
             values = [result.model[key] for key in csp.keys]
-            assert all(v in dom for v, dom in zip(values, csp.domains))
+            assert all(v in dom for v, dom in zip(values, domains))
             assert _satisfies(csp, values)

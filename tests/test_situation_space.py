@@ -30,9 +30,9 @@ from treechoice import (
     situation_key,
     tabulate_scf,
 )
-from treechoice.enumeration import SPACE_CACHE_SIZE, situation_space
+from treechoice.enumeration import SPACE_CACHE_SIZE, SituationSpace, situation_space
 from treechoice.fileio import make_chain, make_fig2, uniform_grid
-from conftest import instances_for, tree_shapes
+from conftest import instances_for, make_deep_demo, tree_shapes
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -49,6 +49,33 @@ def _reports(module, rule, inst: Instance) -> list[str]:
     out.extend(module.check_anonymity(rule, inst, variant).to_json() for variant in AnonymityVariant)
     out.extend(module.check_voter_relevance(rule, inst, d).to_json() for d in range(4))
     return [json.dumps(doc) for doc in out]
+
+
+def _reversed_names(graph: InvitationGraph) -> InvitationGraph:
+    """The same shape with its voter names in reverse order, so children sort before parents."""
+    rename = dict(zip(graph.voters, reversed(graph.voters)))
+    return InvitationGraph(
+        frozenset(rename[v] for v in graph.moderator_children),
+        {rename[v]: frozenset(rename[c] for c in kids) for v, kids in graph.children.items()},
+    )
+
+
+def test_space_numbers_situations_as_the_profile_enumeration_does():
+    # the walk in tree order against one situation_key per profile, with the
+    # tree order and the sorted name order agreeing and disagreeing; a true
+    # peak per voter is needed to build an instance, but no space reads it
+    graphs = [g for graph in tree_shapes(4, 4) for g in (graph, _reversed_names(graph))]
+    shapes = [
+        Instance(graph, {v: grid[-1] for v in graph.voters}, grid)
+        for grid in (uniform_grid(3), uniform_grid(4))
+        for graph in graphs
+    ]
+    for inst in shapes + [make_deep_demo()]:
+        keys, sids = reference.situation_numbering(inst)
+        space = SituationSpace(inst)
+        assert space.keys == keys
+        assert space.profile_sids == sids
+    assert len(shapes) == 2 * 2 * 16  # 1 + 2 + 4 + 9 shapes of 1 to 4 voters
 
 
 def test_table_checkers_match_reference_loops():
@@ -134,6 +161,16 @@ def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
         assert str(new.value) == str(old.value)
     with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
         tabulate_scf(fig2_instance, dcm, options=CspOptions(profile_budget=10))
+
+
+def test_diffusion_budget_bounds_the_table_it_reads():
+    # one voter on 5 points: SP-D tries 2 reports, but its table covers all 5 profiles
+    inst = make_chain(1, 5)
+    dcm = DirectChildrenMedian()
+    for _ in range(2):  # the second time, the passing check has cached the table
+        with pytest.raises(BudgetExceededError, match="profile enumeration size 5 exceeds budget 3"):
+            check_sp(dcm, inst, "diffusion_only", budget=3)
+        assert check_sp(dcm, inst, "diffusion_only", budget=5).passed
 
 
 class _AlwaysRaises(SocialChoiceFunction):
