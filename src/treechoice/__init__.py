@@ -32,8 +32,6 @@ from .model import (
 )
 from .enumeration import (
     AnonymityVariant,
-    ProfileFilters,
-    deviation_neighborhood,
     enumerate_profiles,
     peak_permutations,
     permutation_classes,

@@ -185,10 +185,10 @@ def collect_situations(instance: Instance, options: CspOptions | None = None) ->
     return tuple(space.keys[sid] for sid in space.key_order())
 
 
-def _hull(peaks: Iterable[int]) -> int:
-    """The grid indices from the lowest to the highest of ``peaks``, as a bitmask."""
-    peaks = list(peaks)
-    return (1 << max(peaks) + 1) - (1 << min(peaks))
+def _hull_mask(space: SituationSpace, sid: int, members: list[int]) -> int:
+    """The grid indices of ``space.hull(sid, members)``, as a bitmask."""
+    lo, hi = space.hull(sid, members)
+    return (1 << hi + 1) - (1 << lo)
 
 
 def encode(instance: Instance, properties: Iterable[str], options: CspOptions | None = None) -> Csp:
@@ -214,12 +214,11 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
 
     domains: list[int] = []
     for sid in order:
-        digits = space.digits[sid]
         mask = (1 << points) - 1
         if "PE" in props:
-            mask &= _hull(r // n for r, n in zip(digits, invitations) if r >= 0)
+            mask &= _hull_mask(space, sid, space.participants(sid))
         if options.depth1_hull:
-            mask &= _hull(digits[k] // invitations[k] for k in direct)
+            mask &= _hull_mask(space, sid, direct)
         domains.append(mask)
 
     equalities: set[tuple[int, int]] = set()

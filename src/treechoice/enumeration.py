@@ -30,44 +30,9 @@ from .model import (
 DEFAULT_PROFILE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class ProfileFilters:
-    """Restrictions on the joint report space.
-
-    ``truthful_peaks`` pins every claimed peak to the voter's true peak
-    (invitations still range over all subsets); ``fixed`` pins individual
-    voters to a single report.
-    """
-
-    truthful_peaks: bool = False
-    fixed: Mapping[VoterId, ReportedType] | None = None
-
-
-def _voter_spaces(instance: Instance, filters: ProfileFilters | None) -> list[tuple[VoterId, Sequence[ReportedType]]]:
-    filters = filters or ProfileFilters()
-    fixed = dict(filters.fixed or {})
-    spaces: list[tuple[VoterId, Sequence[ReportedType]]] = []
-    for v in instance.graph.voters:
-        if v in fixed:
-            spaces.append((v, (fixed[v],)))
-        else:
-            spaces.append((v, instance.report_space(v, diffusion_only=filters.truthful_peaks)))
-    return spaces
-
-
-def profile_space_size(
-    instance: Instance,
-    filters: ProfileFilters | None = None,
-    *,
-    budget: int | None = None,
-) -> int:
+def profile_space_size(instance: Instance, *, budget: int | None = None) -> int:
     """Number of joint report profiles; BudgetExceededError names it above ``budget``."""
-    filters = filters or ProfileFilters()
-    fixed = filters.fixed or {}
-    size = math.prod(
-        1 if v in fixed else instance.report_space_size(v, diffusion_only=filters.truthful_peaks)
-        for v in instance.graph.voters
-    )
+    size = math.prod(instance.report_space_size(v) for v in instance.graph.voters)
     if budget is not None and size > budget:
         raise BudgetExceededError(size, budget, what="profile enumeration")
     return size
@@ -75,7 +40,6 @@ def profile_space_size(
 
 def enumerate_profiles(
     instance: Instance,
-    filters: ProfileFilters | None = None,
     *,
     budget: int | None = DEFAULT_PROFILE_BUDGET,
 ) -> Iterator[dict[VoterId, ReportedType]]:
@@ -84,10 +48,9 @@ def enumerate_profiles(
     Raises BudgetExceededError (naming the projected size) before yielding
     anything if the product of the per-voter space sizes exceeds ``budget``.
     """
-    profile_space_size(instance, filters, budget=budget)
-    spaces = _voter_spaces(instance, filters)
-    voters = [v for v, _ in spaces]
-    for combo in itertools.product(*(space for _, space in spaces)):
+    profile_space_size(instance, budget=budget)
+    voters = instance.graph.voters
+    for combo in itertools.product(*(instance.report_space(v) for v in voters)):
         yield dict(zip(voters, combo))
 
 
@@ -153,26 +116,6 @@ def peak_permutations(
         for v, peak in zip(members, perm):
             permuted[v] = ReportedType(peak, reports[v].invited)
         yield permuted
-
-
-def deviation_neighborhood(
-    instance: Instance,
-    reports: Mapping[VoterId, ReportedType],
-    voter: VoterId,
-    mode: str = "full",
-) -> Iterator[dict[VoterId, ReportedType]]:
-    """Report maps equal to ``reports`` except at ``voter``.
-
-    ``mode='full'`` ranges over the voter's whole report space;
-    ``mode='diffusion_only'`` keeps the true peak and varies invitations,
-    which yields a subset of the full neighborhood.
-    """
-    if mode not in ("full", "diffusion_only"):
-        raise ValueError(f"unknown deviation mode {mode!r}")
-    for rep in instance.report_space(voter, diffusion_only=mode == "diffusion_only"):
-        out = dict(reports)
-        out[voter] = rep
-        yield out
 
 
 def others_assignments(
@@ -265,6 +208,11 @@ class SituationSpace:
     - ``classes(variant)`` lists, for each situation, its anonymity classes
       of two or more voters; ``permuted(variant)`` lists its peak-permuted
       situations in ``check_anonymity``'s order.
+    - ``hull(s, members)`` is the grid-index range of the peaks the voters
+      ``members`` report in situation ``s``; the PE and depth-1 checks and
+      the search encoder all read hulls from it.
+    - ``positions_with_peaks(peaks)`` lists the profiles where every voter
+      reports a given peak, such as the truthful-peak profiles PE scans.
     - ``key_order()`` lists the situations by ascending key.
     - ``tables`` maps a rule to its outcome per situation; the checkers fill
       it (``properties.rule_table``), at most ``TABLES_PER_SPACE`` entries.
@@ -370,6 +318,26 @@ class SituationSpace:
         """The grid indices of the peaks voters ``members`` report in situation ``sid``."""
         digits = self.digits[sid]
         return tuple(digits[k] // self.invitations[k] for k in members)
+
+    def participants(self, sid: int) -> list[int]:
+        """The indices of the voters taking part in situation ``sid``."""
+        return [k for k, r in enumerate(self.digits[sid]) if r >= 0]
+
+    def hull(self, sid: int, members: Sequence[int]) -> tuple[int, int]:
+        """The lowest and highest grid index among the peaks voters ``members`` report in ``sid``."""
+        peaks = self.peaks(sid, members)
+        return min(peaks), max(peaks)
+
+    def positions_with_peaks(self, peaks: Sequence[int]) -> list[int]:
+        """The positions of the profiles where voter ``k`` reports the peak at grid index ``peaks[k]``.
+
+        Invitations range over every subset; positions come in
+        ``enumerate_profiles`` order.
+        """
+        positions = [0]
+        for peak, n, stride in zip(peaks, self.invitations, self._strides):
+            positions = [p + (peak * n + m) * stride for p in positions for m in range(n)]
+        return positions
 
     def with_peaks(self, sid: int, members: Sequence[int], peaks: Sequence[int]) -> int:
         """Situation ``sid`` with voters ``members`` reporting peaks ``peaks`` instead.

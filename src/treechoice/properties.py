@@ -7,13 +7,12 @@ enumeration order. Pass verdicts for the incentive, efficiency, and anonymity
 checkers are relative to the instance's grid; relevance works the other way
 around (a Pass is witnessed exactly, a Fail means no witness on this grid).
 
-The incentive, anonymity and relevance checkers evaluate no rule themselves:
-they scan the rule's table on the instance's situation space
+Every checker scans the rule's table on the instance's situation space
 (``rule_table``), which every peak assignment of one tree shape shares, and
-rebuild profiles only for the witnesses they report. Every checker shows the
-rule a ``PeakBlindInstance``, never the true peaks. Each projects the size
-of every profile space it reads against its budget first, whether or not
-the table is already cached.
+rebuilds profiles only for the witnesses it reports. A rule is evaluated
+only there, on every profile, through a ``PeakBlindInstance`` that hides
+the true peaks. Each checker projects the size of every profile space it
+reads against its budget first, whether or not the table is already cached.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .enumeration import (
     AnonymityVariant,
     DEFAULT_PROFILE_BUDGET,
     TABLES_PER_SPACE,
-    ProfileFilters,
     SituationSpace,
     anonymity_permutations,
     deviation_space_size,
@@ -272,26 +270,28 @@ def check_pareto(
     Peaks are reported truthfully while invitations range over every
     configuration; on a line with single-peaked preferences the hull test
     is equivalent to the no-dominating-alternative definition (see
-    ``find_dominating_point`` for the definitional oracle).
+    ``find_dominating_point`` for the definitional oracle). On a truthful
+    profile the participants' true peaks are their reported peaks, so the
+    hull is the situation's.
     """
-    graph = instance.graph
-    view = PeakBlindInstance(instance, scf.name)
-    examined = 0
-    for profile in enumerate_profiles(instance, ProfileFilters(truthful_peaks=True), budget=budget):
-        examined += 1
-        participating = participating_voters(graph, profile, validate=False)
-        peaks = [instance.true_peaks[v] for v in participating]
-        lo, hi = min(peaks), max(peaks)
-        out = scf.outcome(view, profile)
-        if not lo <= out <= hi:
+    profile_space_size(instance, budget=budget)  # the table covers every profile
+    space, table = rule_table(scf, instance)
+    grid, voters = instance.grid, instance.graph.voters
+    truthful = space.positions_with_peaks([grid.index(instance.true_peaks[v]) for v in voters])
+    for examined, position in enumerate(truthful, 1):
+        sid = space.profile_sids[position]
+        members = space.participants(sid)
+        lo, hi = space.hull(sid, members)
+        out = table.values[table.outcomes[sid]]
+        if not grid[lo] <= out <= grid[hi]:
             witness = {
-                "profile": profile_to_json(profile),
-                "participating": sorted(participating),
-                "hull": [format_rational(lo), format_rational(hi)],
+                "profile": profile_to_json(space.profile_at(position)),
+                "participating": [voters[k] for k in members],
+                "hull": [format_rational(grid[lo]), format_rational(grid[hi])],
                 "outcome": format_rational(out),
             }
             return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
-    return CheckReport("PE", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+    return CheckReport("PE", "Pass", None, len(truthful), PASS_IS_GRID_RELATIVE)
 
 
 def find_dominating_point(
@@ -328,17 +328,21 @@ def check_ontoness(
     *,
     budget: int | None = DEFAULT_PROFILE_BUDGET,
 ) -> CheckReport:
-    """Every grid point is the outcome of at least one report profile."""
+    """Every grid point is the outcome of at least one report profile.
+
+    ``profiles_examined`` counts the profiles up to the first that hits the
+    last grid point. Situations are numbered in order of first appearance,
+    so that profile is where the situation that hits it first appears.
+    """
+    total = profile_space_size(instance, budget=budget)
+    space, table = rule_table(scf, instance)
     wanted = set(instance.grid)
-    view = PeakBlindInstance(instance, scf.name)
-    examined = 0
-    for profile in enumerate_profiles(instance, budget=budget):
-        examined += 1
-        wanted.discard(scf.outcome(view, profile))
+    for sid, k in enumerate(table.outcomes):
+        wanted.discard(table.values[k])
         if not wanted:
-            return CheckReport("ONTO", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+            return CheckReport("ONTO", "Pass", None, space.profile_sids.index(sid) + 1, PASS_IS_GRID_RELATIVE)
     witness = {"unhit": [format_rational(q) for q in sorted(wanted)]}
-    return CheckReport("ONTO", "Fail", witness, examined, EXACT_ON_GRID)
+    return CheckReport("ONTO", "Fail", witness, total, EXACT_ON_GRID)
 
 
 def check_anonymity(
@@ -447,24 +451,28 @@ def check_depth1_hull(
     *,
     budget: int | None = DEFAULT_PROFILE_BUDGET,
 ) -> CheckReport:
-    """Outcome stays inside the direct children's reported-peak hull."""
-    graph = instance.graph
-    direct = sorted(graph.moderator_children)
-    view = PeakBlindInstance(instance, scf.name)
-    examined = 0
-    for profile in enumerate_profiles(instance, budget=budget):
-        examined += 1
-        peaks = [profile[v].peak for v in direct]
-        lo, hi = min(peaks), max(peaks)
-        out = scf.outcome(view, profile)
-        if not lo <= out <= hi:
+    """Outcome stays inside the direct children's reported-peak hull.
+
+    Direct children always take part, so the hull is the situation's, and
+    the first profile outside it is where the lowest such situation first
+    appears.
+    """
+    total = profile_space_size(instance, budget=budget)
+    space, table = rule_table(scf, instance)
+    grid = instance.grid
+    direct = [k for k, v in enumerate(instance.graph.voters) if v in instance.graph.moderator_children]
+    for sid, k in enumerate(table.outcomes):
+        lo, hi = space.hull(sid, direct)
+        out = table.values[k]
+        if not grid[lo] <= out <= grid[hi]:
+            position = space.profile_sids.index(sid)
             witness = {
-                "profile": profile_to_json(profile),
-                "depth1_hull": [format_rational(lo), format_rational(hi)],
+                "profile": profile_to_json(space.profile_at(position)),
+                "depth1_hull": [format_rational(grid[lo]), format_rational(grid[hi])],
                 "outcome": format_rational(out),
             }
-            return CheckReport("DEPTH1-HULL", "Fail", witness, examined, EXACT_ON_GRID)
-    return CheckReport("DEPTH1-HULL", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+            return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
+    return CheckReport("DEPTH1-HULL", "Pass", None, total, PASS_IS_GRID_RELATIVE)
 
 
 def run_check(

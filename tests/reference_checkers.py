@@ -1,17 +1,21 @@
-"""Loop-based SP, anonymity and relevance checkers, kept as a test oracle.
+"""Loop-based checkers for every property, kept as a test oracle.
 
 These evaluate the rule profile by profile and call ``compare`` on every
 deviation, with no shared situation table: the form the table-backed
-checkers in ``treechoice.properties`` replaced. ``test_reference_checkers``
-requires both to produce the same report JSON, byte for byte.
+checkers in ``treechoice.properties`` replaced.
+``test_table_checkers_match_reference_loops`` requires both to produce the
+same report JSON, byte for byte. ``truthful_peak_profiles`` is the
+enumeration the efficiency loop scans.
 ``situation_numbering`` is the same kind of oracle for the situation
 space's constructor.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from treechoice.enumeration import (
     AnonymityVariant,
@@ -32,9 +36,16 @@ from treechoice.model import (
     VoterId,
     compare,
     format_rational,
+    participating_voters,
     situation_key,
 )
-from treechoice.properties import EXACT_ON_GRID, PASS_IS_GRID_RELATIVE, CheckReport, profile_to_json
+from treechoice.properties import (
+    EXACT_ON_GRID,
+    PASS_IS_GRID_RELATIVE,
+    CheckReport,
+    PeakBlindInstance,
+    profile_to_json,
+)
 from treechoice.scf import SocialChoiceFunction
 
 
@@ -46,6 +57,25 @@ def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], l
         for profile in enumerate_profiles(instance, budget=None)
     ]
     return tuple(index), sids
+
+
+def truthful_peak_profiles(
+    instance: Instance,
+    *,
+    budget: int | None = None,
+) -> Iterator[dict[VoterId, ReportedType]]:
+    """Every profile where each voter reports its true peak, in lexicographic order.
+
+    Invitations range over every subset. Raises BudgetExceededError before
+    yielding anything when the count exceeds ``budget``.
+    """
+    voters = instance.graph.voters
+    spaces = [instance.report_space(v, diffusion_only=True) for v in voters]
+    size = math.prod(len(space) for space in spaces)
+    if budget is not None and size > budget:
+        raise BudgetExceededError(size, budget, what="profile enumeration")
+    for combo in itertools.product(*spaces):
+        yield dict(zip(voters, combo))
 
 
 class _CachedRule:
@@ -235,3 +265,81 @@ def check_voter_relevance(
             return CheckReport(prop, "Fail", witness, examined, PASS_IS_GRID_RELATIVE)
         witnesses[voter] = found
     return CheckReport(prop, "Pass", {"voters": witnesses}, examined, EXACT_ON_GRID)
+
+
+def check_pareto(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """Outcome stays inside the participating voters' true-peak hull.
+
+    Peaks are reported truthfully while invitations range over every
+    configuration; on a line with single-peaked preferences the hull test
+    is equivalent to the no-dominating-alternative definition (see
+    ``find_dominating_point`` for the definitional oracle).
+    """
+    graph = instance.graph
+    view = PeakBlindInstance(instance, scf.name)
+    examined = 0
+    for profile in truthful_peak_profiles(instance, budget=budget):
+        examined += 1
+        participating = participating_voters(graph, profile, validate=False)
+        peaks = [instance.true_peaks[v] for v in participating]
+        lo, hi = min(peaks), max(peaks)
+        out = scf.outcome(view, profile)
+        if not lo <= out <= hi:
+            witness = {
+                "profile": profile_to_json(profile),
+                "participating": sorted(participating),
+                "hull": [format_rational(lo), format_rational(hi)],
+                "outcome": format_rational(out),
+            }
+            return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
+    return CheckReport("PE", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+
+
+def check_ontoness(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """Every grid point is the outcome of at least one report profile."""
+    wanted = set(instance.grid)
+    view = PeakBlindInstance(instance, scf.name)
+    examined = 0
+    for profile in enumerate_profiles(instance, budget=budget):
+        examined += 1
+        wanted.discard(scf.outcome(view, profile))
+        if not wanted:
+            return CheckReport("ONTO", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+    witness = {"unhit": [format_rational(q) for q in sorted(wanted)]}
+    return CheckReport("ONTO", "Fail", witness, examined, EXACT_ON_GRID)
+
+
+def check_depth1_hull(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> CheckReport:
+    """Outcome stays inside the direct children's reported-peak hull."""
+    graph = instance.graph
+    direct = sorted(graph.moderator_children)
+    view = PeakBlindInstance(instance, scf.name)
+    examined = 0
+    for profile in enumerate_profiles(instance, budget=budget):
+        examined += 1
+        peaks = [profile[v].peak for v in direct]
+        lo, hi = min(peaks), max(peaks)
+        out = scf.outcome(view, profile)
+        if not lo <= out <= hi:
+            witness = {
+                "profile": profile_to_json(profile),
+                "depth1_hull": [format_rational(lo), format_rational(hi)],
+                "outcome": format_rational(out),
+            }
+            return CheckReport("DEPTH1-HULL", "Fail", witness, examined, EXACT_ON_GRID)
+    return CheckReport("DEPTH1-HULL", "Pass", None, examined, PASS_IS_GRID_RELATIVE)

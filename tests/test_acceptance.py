@@ -33,7 +33,6 @@ from treechoice import (
     solve,
     verify_model,
 )
-from treechoice.enumeration import ProfileFilters, enumerate_profiles
 from treechoice.fileio import (
     make_chain,
     make_random,
@@ -42,6 +41,7 @@ from treechoice.fileio import (
 )
 from treechoice.matrix import build_matrix
 from treechoice.model import participating_voters
+from reference_checkers import truthful_peak_profiles
 from conftest import make_deep_demo, tree_shapes, instances_for
 
 F = Fraction
@@ -333,7 +333,7 @@ def test_c09_oracle_equivalences():
     rules = [FixedOutcome(F(1, 2)), FixedOutcome(F(1)), DirectChildrenMedian(), ParticipantMedian()]
     for graph in tree_shapes(3, 3):
         for inst in instances_for(graph, grid3):
-            for profile in enumerate_profiles(inst, ProfileFilters(truthful_peaks=True)):
+            for profile in truthful_peak_profiles(inst):
                 participating = participating_voters(inst.graph, profile)
                 peaks = [inst.true_peaks[v] for v in participating]
                 lo, hi = min(peaks), max(peaks)

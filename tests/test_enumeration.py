@@ -7,15 +7,14 @@ import pytest
 from treechoice import (
     AnonymityVariant,
     BudgetExceededError,
-    ProfileFilters,
     ReportedType,
-    deviation_neighborhood,
     enumerate_profiles,
     peak_permutations,
     permutation_classes,
 )
 from treechoice.enumeration import others_assignments, profile_space_size
 from treechoice.fileio import make_chain, make_fig2, make_star
+from reference_checkers import truthful_peak_profiles
 
 F = Fraction
 
@@ -24,7 +23,7 @@ def test_profile_counts_on_two_voter_chain():
     inst = make_chain(2, 3)  # i with child j, grid of three points
     assert profile_space_size(inst) == 18
     assert len(list(enumerate_profiles(inst))) == 18
-    assert len(list(enumerate_profiles(inst, ProfileFilters(truthful_peaks=True)))) == 2
+    assert len(list(truthful_peak_profiles(inst))) == 2
 
 
 def test_profile_count_single_voter():
@@ -109,20 +108,6 @@ def test_classes_unchanged_after_permutation():
                 c.key: c.members
                 for c in permutation_classes(inst.graph, reports, AnonymityVariant.BY_DEPTH)
             }
-
-
-def test_deviation_neighborhood_sizes():
-    inst = make_fig2()
-    reports = inst.truthful_reports()
-    assert len(list(deviation_neighborhood(inst, reports, "j"))) == 6  # leaf, grid of 6
-    assert len(list(deviation_neighborhood(inst, reports, "i"))) == 24  # 6 peaks * 4 subsets
-    diffusion = list(deviation_neighborhood(inst, reports, "i", mode="diffusion_only"))
-    assert len(diffusion) == 4
-    full = list(deviation_neighborhood(inst, reports, "i"))
-    ids = lambda maps: {tuple(sorted((v, r) for v, r in m.items())) for m in maps}
-    assert ids(diffusion) <= ids(full)
-    with pytest.raises(ValueError):
-        next(deviation_neighborhood(inst, reports, "i", mode="typo"))
 
 
 def test_others_assignments_exclude_the_voter():

@@ -26,9 +26,9 @@ from treechoice import (
     parse_rational,
     run_check,
 )
-from treechoice.enumeration import ProfileFilters, enumerate_profiles
 from treechoice.fileio import make_chain, make_random, uniform_grid
 from treechoice.model import participating_voters
+from reference_checkers import truthful_peak_profiles
 from conftest import make_deep_demo
 
 F = Fraction
@@ -96,7 +96,7 @@ def test_pareto_hull_agrees_with_dominance_oracle():
     # the hull test and the definitional better-for-all oracle must agree
     inst = make_chain(2, 3)
     rules = [FixedOutcome(F(1, 2)), FixedOutcome(F(1)), DirectChildrenMedian(), ParticipantMedian()]
-    for profile in enumerate_profiles(inst, ProfileFilters(truthful_peaks=True)):
+    for profile in truthful_peak_profiles(inst):
         participating = participating_voters(inst.graph, profile)
         peaks = [inst.true_peaks[v] for v in participating]
         lo, hi = min(peaks), max(peaks)

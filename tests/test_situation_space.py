@@ -27,6 +27,7 @@ from treechoice import (
     check_sp,
     check_voter_relevance,
     parse_scf,
+    participating_voters,
     situation_key,
     tabulate_scf,
 )
@@ -40,7 +41,7 @@ RULES = ("direct-median", "depth-weighted-median", "participant-median", "fixed:
 
 
 def _reports(module, rule, inst: Instance) -> list[str]:
-    """Report JSON of every SP, AN and VR variant, as the checker ``module`` gives it."""
+    """Report JSON of every property, as the checker ``module`` gives it."""
     out = []
     flags = (True, False) if inst.preference_model is PreferenceModel.ROBUST_SINGLE_PEAKED else (True,)
     for mode in ("full", "diffusion_only"):
@@ -48,6 +49,9 @@ def _reports(module, rule, inst: Instance) -> list[str]:
             out.append(module.check_sp(rule, inst, mode, ambiguous_is_violation=flag).to_json())
     out.extend(module.check_anonymity(rule, inst, variant).to_json() for variant in AnonymityVariant)
     out.extend(module.check_voter_relevance(rule, inst, d).to_json() for d in range(4))
+    out.append(module.check_pareto(rule, inst).to_json())
+    out.append(module.check_ontoness(rule, inst).to_json())
+    out.append(module.check_depth1_hull(rule, inst).to_json())
     return [json.dumps(doc) for doc in out]
 
 
@@ -78,17 +82,31 @@ def test_space_numbers_situations_as_the_profile_enumeration_does():
     assert len(shapes) == 2 * 2 * 16  # 1 + 2 + 4 + 9 shapes of 1 to 4 voters
 
 
+class _ReflectedLastPeak(SocialChoiceFunction):
+    """One minus the peak of the last participant by name.
+
+    It leaves the participants' hull on some truthful-peak profiles and not
+    on others, so PE's first witness depends on the order of its scan.
+    """
+
+    name = "reflected-last-peak"
+
+    def outcome(self, instance, reports):
+        return 1 - reports[max(participating_voters(instance.graph, reports, validate=False))].peak
+
+
 def test_table_checkers_match_reference_loops():
     symmetric = [inst for graph in tree_shapes(3, 3) for inst in instances_for(graph, GRID3)]
     robust = [
         dataclasses.replace(inst, preference_model=PreferenceModel.ROBUST_SINGLE_PEAKED) for inst in symmetric
     ]
     instances = symmetric + robust
-    rules = [parse_scf(name) for name in RULES]
+    names = RULES + (_ReflectedLastPeak.name,)
+    rules = [parse_scf(name) for name in RULES] + [_ReflectedLastPeak()]
     expected = {
         (k, name): _reports(reference, rule, inst)
         for k, inst in enumerate(instances)
-        for name, rule in zip(RULES, rules)
+        for name, rule in zip(names, rules)
     }
     # forwards, then backwards: a table or space leaking one peak assignment
     # into another shows as a difference on the way back
@@ -96,7 +114,7 @@ def test_table_checkers_match_reference_loops():
     mismatches = [
         (k, name)
         for k, inst in order + order[::-1]
-        for name, rule in zip(RULES, rules)
+        for name, rule in zip(names, rules)
         if _reports(properties, rule, inst) != expected[(k, name)]
     ]
     assert len(instances) == 258
@@ -133,6 +151,41 @@ def test_rule_that_reads_true_peaks_is_rejected(run):
         run(_TruePeakReader(), make_chain(2, 3))
 
 
+class _NonParticipantPeak(SocialChoiceFunction):
+    """Reads j's report even when i does not invite j, so it sees more than a situation."""
+
+    name = "non-participant-peak"
+
+    def outcome(self, instance, reports):
+        return reports["j"].peak
+
+
+class _RaisesOnLastProfile(DirectChildrenMedian):
+    """The direct-children median, except on the last profile: every peak 1, every child invited."""
+
+    name = "raises-on-last-profile"
+
+    def outcome(self, instance, reports):
+        if all(rep.peak == 1 and rep.invited == instance.graph.true_children(v) for v, rep in reports.items()):
+            raise RuntimeError("evaluated the last profile")
+        return super().outcome(instance, reports)
+
+
+@pytest.mark.parametrize("check", [check_pareto, check_ontoness, check_depth1_hull])
+@pytest.mark.parametrize(
+    "rule, error, match",
+    [
+        (_NonParticipantPeak(), ConfigurationError, "observable situation"),
+        (_RaisesOnLastProfile(), RuntimeError, "last profile"),
+    ],
+    ids=["non-participant", "raises-late"],
+)
+def test_hull_and_onto_checks_evaluate_the_rule_on_every_profile(check, rule, error, match):
+    # each reads the rule table, which holds the rule's outcome on every profile
+    with pytest.raises(error, match=match):
+        check(rule, make_chain(2, 3))
+
+
 def test_rules_with_different_phantoms_get_separate_tables():
     graph = InvitationGraph(frozenset(["a", "b"]), {})
     inst = Instance(graph, {"a": F(0), "b": F(1)}, GRID3)
@@ -152,6 +205,8 @@ def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
         lambda m: m.check_sp(dcm, fig2_instance, budget=10),
         lambda m: m.check_anonymity(dcm, fig2_instance, AnonymityVariant.FULL, budget=10),
         lambda m: m.check_voter_relevance(dcm, fig2_instance, 1, budget=10),
+        lambda m: m.check_ontoness(dcm, fig2_instance, budget=10),
+        lambda m: m.check_depth1_hull(dcm, fig2_instance, budget=10),
     ]
     for call in calls:
         with pytest.raises(BudgetExceededError) as new:
@@ -159,6 +214,10 @@ def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
         with pytest.raises(BudgetExceededError) as old:
             call(reference)
         assert str(new.value) == str(old.value)
+    # PE reads the table, which covers every profile, not only the 4 truthful-peak ones
+    assert reference.check_pareto(dcm, fig2_instance, budget=10).profiles_examined == 4
+    with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
+        check_pareto(dcm, fig2_instance, budget=10)
     with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
         tabulate_scf(fig2_instance, dcm, options=CspOptions(profile_budget=10))
 
