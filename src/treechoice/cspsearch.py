@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .enumeration import AnonymityVariant, SituationSpace, profile_space_size, situation_space
+from .enumeration import AnonymityVariant, SituationSpace, situation_space
 from .model import (
     BudgetExceededError,
     ConfigurationError,
@@ -77,9 +77,7 @@ def normalize_properties(properties: Iterable[str]) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class CspOptions:
     variable_budget: int = 20_000
-    profile_budget: int = 2_000_000
     depth1_hull: bool = False
-    robust_ambiguous_violation: bool = True
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,7 @@ def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
 
 
 def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
-    """The instance's shared situation space, within the profile and variable budgets."""
-    profile_space_size(instance, budget=options.profile_budget)
+    """The instance's shared situation space, within the variable budget."""
     space = situation_space(instance)
     if len(space.keys) > options.variable_budget:
         raise BudgetExceededError(len(space.keys), options.variable_budget, what="CSP variable")
@@ -303,8 +300,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     Inside, a value is its index on the grid and a domain is a bitmask of
     indices. The preference constraints read one table built from the exact
     ``compare`` (``preference_masks``, shared with ``check_sp``), so no
-    verdict rests on anything coarser than Fractions; a Sat model is mapped
-    back to grid Fractions.
+    verdict rests on anything coarser than Fractions; an AMBIGUOUS
+    comparison counts as a violation, as in ``verify_model``'s replay. A Sat
+    model is mapped back to grid Fractions.
     ``stats["phase_s"]`` gives the seconds spent merging (with the table),
     in arc consistency and in search.
     """
@@ -353,9 +351,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             vr_collapsed = c.voter
         vr.append((c.voter, tuple(groups)))
 
-    forward, backward = preference_masks(
-        grid, csp.instance.preference_model, csp.options.robust_ambiguous_violation
-    )
+    forward, backward = preference_masks(grid, csp.instance.preference_model, True)
     cons_by_var: dict[int, list[int]] = {}
     for ci, (t, d, p) in enumerate(sp):
         cons_by_var.setdefault(t, []).append(ci)
@@ -517,12 +513,7 @@ class TabulatedScf(SocialChoiceFunction):
             raise ConfigurationError("table has no entry for a reachable situation") from None
 
 
-def tabulate_scf(
-    instance: Instance,
-    scf: SocialChoiceFunction,
-    *,
-    options: CspOptions | None = None,
-) -> dict[SituationKey, Fraction]:
+def tabulate_scf(instance: Instance, scf: SocialChoiceFunction) -> dict[SituationKey, Fraction]:
     """Restrict a functional rule to this instance as an explicit table.
 
     This reads the checkers' table (``properties.rule_table``): the rule is
@@ -530,8 +521,6 @@ def tabulate_scf(
     the observable situation (say, on a non-participant's report, or on a
     true peak) raises ConfigurationError.
     """
-    options = options or CspOptions()
-    profile_space_size(instance, budget=options.profile_budget)
     space, table = rule_table(scf, instance)
     return {key: table.values[k] for key, k in zip(space.keys, table.outcomes)}
 
@@ -540,8 +529,6 @@ def verify_model(
     instance: Instance,
     model: Mapping[SituationKey, Fraction],
     properties: Iterable[str],
-    *,
-    budget: int | None = None,
 ) -> list[CheckReport]:
     """Replay a table through the property checkers; Sat models must pass all."""
     props = normalize_properties(properties)
@@ -550,5 +537,4 @@ def verify_model(
     if missing:
         raise ConfigurationError(f"incomplete table: {missing} reachable situations unassigned")
     scf = TabulatedScf(model)
-    kwargs = {} if budget is None else {"budget": budget}
-    return [run_check(scf, instance, token, **kwargs) for token in props]
+    return [run_check(scf, instance, token) for token in props]

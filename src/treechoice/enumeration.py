@@ -214,8 +214,9 @@ class SituationSpace:
     - ``positions_with_peaks(peaks)`` lists the profiles where every voter
       reports a given peak, such as the truthful-peak profiles PE scans.
     - ``key_order()`` lists the situations by ascending key.
-    - ``tables`` maps a rule to its outcome per situation; the checkers fill
-      it (``properties.rule_table``), at most ``TABLES_PER_SPACE`` entries.
+    - ``tables`` maps a rule and a preference model to the rule's outcome
+      per situation; the checkers fill it (``properties.rule_table``), at
+      most ``TABLES_PER_SPACE`` entries.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -441,13 +442,15 @@ def anonymity_permutations(
 _SPACES: OrderedDict[tuple, SituationSpace] = OrderedDict()
 
 
-def situation_space(instance: Instance) -> SituationSpace:
+def situation_space(instance: Instance, *, budget: int | None = DEFAULT_PROFILE_BUDGET) -> SituationSpace:
     """The shared space of the instance's shape and grid, built on first use.
 
     A shape is the graph with its voter names; the last ``SPACE_CACHE_SIZE``
-    shapes used are kept. Callers bound the profile count first: building
-    enumerates every profile without a budget.
+    shapes used are kept. The space numbers every profile, so the profile
+    count is projected against ``budget`` on every call, cached or not, and
+    BudgetExceededError names it before anything is built.
     """
+    profile_space_size(instance, budget=budget)
     graph = instance.graph
     shape = (graph.moderator_children, tuple(sorted(graph.children.items())), instance.grid)
     space = _SPACES.get(shape)

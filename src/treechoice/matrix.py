@@ -22,7 +22,7 @@ from .fileio import (
 )
 from .model import BudgetExceededError, Instance
 from .properties import run_check
-from .scf import DepthWeightedMedian, DirectChildrenMedian, SocialChoiceFunction
+from .scf import DepthWeightedMedian, DirectChildrenMedian
 
 COLUMNS = ("AN", "AN-S", "AN-D", "AN-SD")
 DEFAULT_ROWS: tuple[tuple[str, int], ...] = (
@@ -32,6 +32,9 @@ DEFAULT_ROWS: tuple[tuple[str, int], ...] = (
     ("VR-1", 1),
     ("VR-0", 0),
 )
+
+# the rules of the paper's two existence theorems, tried in order before a search
+RULES = (DirectChildrenMedian(), DepthWeightedMedian())
 
 _SYMBOLS = {"exists": "✓", "not-on-instance": "✗", "open": "open", "inconclusive": "?"}
 
@@ -50,11 +53,9 @@ def _properties_for(column: str, d: int) -> list[str]:
     return props
 
 
-def _try_rules(
-    instance: Instance, column: str, d: int, rules: list[SocialChoiceFunction]
-) -> CellResult | None:
+def _try_rules(instance: Instance, column: str, d: int) -> CellResult | None:
     props = _properties_for(column, d)
-    for rule in rules:
+    for rule in RULES:
         reports = [run_check(rule, instance, token) for token in props]
         if all(r.passed for r in reports):
             artifact = {
@@ -106,11 +107,10 @@ def _run_csp(instance: Instance, column: str, d: int, *, timeout_s: float | None
     return CellResult("not-on-instance", artifact)
 
 
-def _default_cell(column: str, label: str, d: int, *, timeout_s: float | None) -> CellResult:
+def _default_cell(column: str, d: int, *, timeout_s: float | None) -> CellResult:
     """Cells of the bundled matrix use the canonical evidence instances."""
-    rules: list[SocialChoiceFunction] = [DirectChildrenMedian(), DepthWeightedMedian()]
     if column in ("AN-D", "AN-SD") and d <= 2:
-        positive = _try_rules(make_fig2(), column, d, rules)
+        positive = _try_rules(make_fig2(), column, d)
         if positive is not None:
             return positive
     if column in ("AN", "AN-S"):
@@ -121,12 +121,9 @@ def _default_cell(column: str, label: str, d: int, *, timeout_s: float | None) -
     return _run_csp(make_chain(3, 3), column, d, timeout_s=timeout_s)
 
 
-def _instance_cell(
-    instance: Instance, column: str, label: str, d: int, *, timeout_s: float | None
-) -> CellResult:
-    rules: list[SocialChoiceFunction] = [DirectChildrenMedian(), DepthWeightedMedian()]
+def _instance_cell(instance: Instance, column: str, d: int, *, timeout_s: float | None) -> CellResult:
     try:
-        positive = _try_rules(instance, column, d, rules)
+        positive = _try_rules(instance, column, d)
     except BudgetExceededError as exc:
         return CellResult(
             "inconclusive",
@@ -166,9 +163,9 @@ def build_matrix(
     for label, d in rows:
         for col in COLUMNS:
             if instance is None:
-                result = _default_cell(col, label, d, timeout_s=timeout_s)
+                result = _default_cell(col, d, timeout_s=timeout_s)
             else:
-                result = _instance_cell(instance, col, label, d, timeout_s=timeout_s)
+                result = _instance_cell(instance, col, d, timeout_s=timeout_s)
             evidence = f"a{len(artifacts) + 1:02d}"
             artifacts[evidence] = result.artifact
             cells[f"{label}|{col}"] = {

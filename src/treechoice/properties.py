@@ -11,8 +11,9 @@ Every checker scans the rule's table on the instance's situation space
 (``rule_table``), which every peak assignment of one tree shape shares, and
 rebuilds profiles only for the witnesses it reports. A rule is evaluated
 only there, on every profile, through a ``PeakBlindInstance`` that hides
-the true peaks. Each checker projects the size of every profile space it
-reads against its budget first, whether or not the table is already cached.
+the true peaks; rules that compare equal share one table. The table layer
+projects the profile count against the checker's budget on every read,
+cached or not, and SP and VR project their deviation counts before that.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .enumeration import (
     anonymity_permutations,
     deviation_space_size,
     enumerate_profiles,
-    profile_space_size,
     situation_space,
 )
 from .model import (
@@ -153,21 +153,26 @@ class RuleTable:
     outcomes: tuple[int, ...]
 
 
-def rule_table(scf: SocialChoiceFunction, instance: Instance) -> tuple[SituationSpace, RuleTable]:
+def rule_table(
+    scf: SocialChoiceFunction,
+    instance: Instance,
+    *,
+    budget: int | None = DEFAULT_PROFILE_BUDGET,
+) -> tuple[SituationSpace, RuleTable]:
     """The instance's situation space and the rule's table on it, tabulated once.
 
-    Tables are keyed by the rule object's identity and the preference
-    model. Tabulation evaluates the rule on every profile, through a
-    ``PeakBlindInstance``, and raises ConfigurationError naming two profiles
-    when one situation gets two outcomes. Callers bound the profile count
-    first.
+    Tables are keyed by the rule and the preference model, so rules that
+    compare equal share one. ``budget`` bounds the profile count, as in
+    ``situation_space``. Tabulation evaluates the rule on every profile,
+    through a ``PeakBlindInstance``, and raises ConfigurationError naming
+    two profiles when one situation gets two outcomes.
     """
-    space = situation_space(instance)
-    key = (id(scf), instance.preference_model)
-    hit = space.tables.get(key)
-    if hit is not None:  # the entry holds the rule, so its id is not reused meanwhile
+    space = situation_space(instance, budget=budget)
+    key = (scf, instance.preference_model)
+    table = space.tables.get(key)
+    if table is not None:
         space.tables.move_to_end(key)
-        return space, hit[1]
+        return space, table
     view = PeakBlindInstance(instance, scf.name)
     first: dict[int, tuple[Fraction, int]] = {}
     profiles = enumerate_profiles(instance, budget=None)
@@ -187,7 +192,7 @@ def rule_table(scf: SocialChoiceFunction, instance: Instance) -> tuple[Situation
         values = tuple(sorted(set(values).union(outs)))
     index_of = {q: k for k, q in enumerate(values)}
     table = RuleTable(values, tuple(index_of[out] for out in outs))
-    space.tables[key] = (scf, table)
+    space.tables[key] = table
     if len(space.tables) > TABLES_PER_SPACE:
         space.tables.popitem(last=False)
     return space, table
@@ -222,9 +227,8 @@ def check_sp(
     )
     if budget is not None and projected > budget:
         raise BudgetExceededError(projected, budget, what="deviation enumeration")
-    profile_space_size(instance, budget=budget)  # the table covers every profile
 
-    space, table = rule_table(scf, instance)
+    space, table = rule_table(scf, instance, budget=budget)
     values, outcomes = table.values, table.outcomes
     forward, _ = preference_masks(values, model, ambiguous_is_violation)
     examined = 0
@@ -274,8 +278,7 @@ def check_pareto(
     profile the participants' true peaks are their reported peaks, so the
     hull is the situation's.
     """
-    profile_space_size(instance, budget=budget)  # the table covers every profile
-    space, table = rule_table(scf, instance)
+    space, table = rule_table(scf, instance, budget=budget)
     grid, voters = instance.grid, instance.graph.voters
     truthful = space.positions_with_peaks([grid.index(instance.true_peaks[v]) for v in voters])
     for examined, position in enumerate(truthful, 1):
@@ -334,15 +337,14 @@ def check_ontoness(
     last grid point. Situations are numbered in order of first appearance,
     so that profile is where the situation that hits it first appears.
     """
-    total = profile_space_size(instance, budget=budget)
-    space, table = rule_table(scf, instance)
+    space, table = rule_table(scf, instance, budget=budget)
     wanted = set(instance.grid)
     for sid, k in enumerate(table.outcomes):
         wanted.discard(table.values[k])
         if not wanted:
             return CheckReport("ONTO", "Pass", None, space.profile_sids.index(sid) + 1, PASS_IS_GRID_RELATIVE)
     witness = {"unhit": [format_rational(q) for q in sorted(wanted)]}
-    return CheckReport("ONTO", "Fail", witness, total, EXACT_ON_GRID)
+    return CheckReport("ONTO", "Fail", witness, len(space.profile_sids), EXACT_ON_GRID)
 
 
 def check_anonymity(
@@ -356,18 +358,16 @@ def check_anonymity(
 
     Classes group participating voters by reported invited count, reported
     depth, both, or not at all (full anonymity); invitations stay put, only
-    peaks permute.
+    peaks permute. Situations are numbered in order of first appearance, so
+    the first failing profile is where the lowest failing situation first
+    appears.
     """
-    total = profile_space_size(instance, budget=budget)
-    space, table = rule_table(scf, instance)
+    space, table = rule_table(scf, instance, budget=budget)
     outcomes = table.outcomes
-    permutations = space.permuted(variant)
-    cleared: set[int] = set()
-    for position, sid in enumerate(space.profile_sids):
-        if sid in cleared:
-            continue
-        for k, other in enumerate(permutations[sid]):
+    for sid, others in enumerate(space.permuted(variant)):
+        for k, other in enumerate(others):
             if outcomes[other] != outcomes[sid]:
+                position = space.profile_sids.index(sid)
                 profile = space.profile_at(position)
                 cls, permuted_profile = next(
                     itertools.islice(anonymity_permutations(instance.graph, profile, variant), k, None)
@@ -381,8 +381,7 @@ def check_anonymity(
                     "permuted_outcome": format_rational(table.values[outcomes[other]]),
                 }
                 return CheckReport(variant.value, "Fail", witness, position + 1, EXACT_ON_GRID)
-        cleared.add(sid)
-    return CheckReport(variant.value, "Pass", None, total, PASS_IS_GRID_RELATIVE)
+    return CheckReport(variant.value, "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
 
 
 def check_voter_relevance(
@@ -415,8 +414,7 @@ def check_voter_relevance(
     examined = 0
     witnesses: dict[VoterId, dict] = {}
     if scope:
-        profile_space_size(instance, budget=budget)  # the table covers every profile
-        space, table = rule_table(scf, instance)
+        space, table = rule_table(scf, instance, budget=budget)
         outcomes = table.outcomes
     for voter in scope:
         for position, group in space.deviation_groups(voter):
@@ -457,8 +455,7 @@ def check_depth1_hull(
     the first profile outside it is where the lowest such situation first
     appears.
     """
-    total = profile_space_size(instance, budget=budget)
-    space, table = rule_table(scf, instance)
+    space, table = rule_table(scf, instance, budget=budget)
     grid = instance.grid
     direct = [k for k, v in enumerate(instance.graph.voters) if v in instance.graph.moderator_children]
     for sid, k in enumerate(table.outcomes):
@@ -472,7 +469,7 @@ def check_depth1_hull(
                 "outcome": format_rational(out),
             }
             return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
-    return CheckReport("DEPTH1-HULL", "Pass", None, total, PASS_IS_GRID_RELATIVE)
+    return CheckReport("DEPTH1-HULL", "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
 
 
 def run_check(

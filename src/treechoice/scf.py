@@ -136,7 +136,11 @@ class GmvsParameters:
 
 
 class SocialChoiceFunction:
-    """Deterministic outcome rule; subclasses implement ``outcome``."""
+    """Deterministic outcome rule; subclasses implement ``outcome``.
+
+    Rules that compare equal share one rule table. The bundled rules other
+    than ``Gmvs`` are frozen dataclasses, equal by class and parameters.
+    """
 
     name: str = "scf"
 
@@ -148,19 +152,25 @@ class SocialChoiceFunction:
         return None
 
 
+@dataclass(frozen=True)
 class FixedOutcome(SocialChoiceFunction):
     """Always returns the same point; a negative control for efficiency and ontoness."""
 
-    def __init__(self, value: Fraction) -> None:
-        if not ZERO <= value <= ONE:
-            raise ConfigurationError(f"fixed outcome {value} outside [0, 1]")
-        self.value = value
-        self.name = f"fixed:{value.numerator}/{value.denominator}"
+    value: Fraction
+
+    def __post_init__(self) -> None:
+        if not ZERO <= self.value <= ONE:
+            raise ConfigurationError(f"fixed outcome {self.value} outside [0, 1]")
+
+    @property
+    def name(self) -> str:
+        return f"fixed:{self.value.numerator}/{self.value.denominator}"
 
     def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
         return self.value
 
 
+@dataclass(frozen=True)
 class DirectChildrenMedian(SocialChoiceFunction):
     """Median of the moderator's direct children's reported peaks.
 
@@ -170,16 +180,17 @@ class DirectChildrenMedian(SocialChoiceFunction):
     the plain median. Even cardinalities take the ceil(m/2)-th smallest.
     """
 
-    name = "direct-median"
+    phantoms: tuple[Fraction, ...] | None = None
 
-    def __init__(self, phantoms: tuple[Fraction, ...] | None = None) -> None:
-        self.phantoms = phantoms
-        if phantoms is not None:
-            if any(not ZERO <= p <= ONE for p in phantoms):
-                raise ConfigurationError("phantom values must lie in [0, 1]")
-            self.name = "direct-median[{}]".format(
-                ",".join(f"{p.numerator}/{p.denominator}" for p in phantoms)
-            )
+    def __post_init__(self) -> None:
+        if self.phantoms is not None and any(not ZERO <= p <= ONE for p in self.phantoms):
+            raise ConfigurationError("phantom values must lie in [0, 1]")
+
+    @property
+    def name(self) -> str:
+        if self.phantoms is None:
+            return "direct-median"
+        return "direct-median[{}]".format(",".join(f"{p.numerator}/{p.denominator}" for p in self.phantoms))
 
     def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
         direct = sorted(instance.graph.moderator_children)
@@ -197,6 +208,7 @@ class DirectChildrenMedian(SocialChoiceFunction):
         return {v: 1 if v in instance.graph.moderator_children else 0 for v in sorted(participating)}
 
 
+@dataclass(frozen=True)
 class DepthWeightedMedian(SocialChoiceFunction):
     """Weighted median where closeness to the moderator buys weight.
 
@@ -231,6 +243,7 @@ class DepthWeightedMedian(SocialChoiceFunction):
         return weighted_median(entries)
 
 
+@dataclass(frozen=True)
 class ParticipantMedian(SocialChoiceFunction):
     """Unweighted median over every participating peak.
 

@@ -93,6 +93,11 @@ def make_deep_demo() -> Instance:
     return Instance(graph, peaks, base.grid)
 
 
+def space_never_built(instance: Instance):
+    """Stands in for ``SituationSpace`` where a budget must refuse before any space is built."""
+    raise AssertionError("a situation space was built over the profile budget")
+
+
 @pytest.fixture(scope="session")
 def small_family() -> list[Instance]:
     return small_family_instances()

@@ -37,12 +37,14 @@ from treechoice import (
     verify_model,
 )
 from treechoice.cspsearch import Csp, VrConstraint, collect_situations, model_to_json, normalize_properties
+import treechoice.enumeration as enumeration
 from treechoice.fileio import (
     make_chain,
     make_fig2,
     make_two_children_one_grandchild,
     uniform_grid,
 )
+from conftest import space_never_built
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -87,15 +89,22 @@ def test_collect_situations_counts():
     assert len(collect_situations(make_two_children_one_grandchild(3))) == 36  # 9 + 27
 
 
-def test_variable_budget_is_enforced():
+def test_variable_budget_is_enforced(monkeypatch):
     # the error names the whole situation count, which the shared space knows up front
     with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
         collect_situations(make_chain(3, 3), CspOptions(variable_budget=10))
     with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
         encode(make_chain(3, 3), ["PE"], CspOptions(variable_budget=10))
-    # the profiles are projected before the space is built or read
-    with pytest.raises(BudgetExceededError, match="profile enumeration size 108 exceeds budget 107"):
-        encode(make_chain(3, 3), ["PE"], CspOptions(profile_budget=107))
+    # the profiles are projected before the space is built: 6**8 * 3 of them
+    monkeypatch.setattr(enumeration, "SituationSpace", space_never_built)
+    chain9 = make_chain(9, 3)
+    for call in (
+        lambda: collect_situations(chain9),
+        lambda: encode(chain9, ["PE"]),
+        lambda: verify_model(chain9, {}, ["PE"]),
+    ):
+        with pytest.raises(BudgetExceededError, match="profile enumeration size 5038848 exceeds budget 2000000"):
+            call()
 
 
 def test_encode_links_equal_structure_swaps_on_chain():
@@ -330,19 +339,14 @@ def test_encoding_matches_golden_digest(name, inst, props):
 _CHAIN2 = make_chain(2, 3)
 _CHAIN2_KEYS = collect_situations(_CHAIN2)
 _ASSIGNMENT_CAP = 5_000
-_PREFERENCES = [
-    (PreferenceModel.SYMMETRIC_DISTANCE, True),
-    (PreferenceModel.ROBUST_SINGLE_PEAKED, True),
-    (PreferenceModel.ROBUST_SINGLE_PEAKED, False),
-]
+_PREFERENCES = [PreferenceModel.SYMMETRIC_DISTANCE, PreferenceModel.ROBUST_SINGLE_PEAKED]
 
 
 @functools.lru_cache(maxsize=None)
-def _accepts(model: PreferenceModel, ambiguous_violates: bool, peak, truthful, deviated) -> bool:
+def _accepts(model: PreferenceModel, peak, truthful, deviated) -> bool:
+    # the search counts an AMBIGUOUS comparison as a violation
     verdict = compare(peak, truthful, deviated, model)
-    if verdict is PreferenceVerdict.WORSE:
-        return False
-    return not (verdict is PreferenceVerdict.AMBIGUOUS and ambiguous_violates)
+    return verdict is not PreferenceVerdict.WORSE and verdict is not PreferenceVerdict.AMBIGUOUS
 
 
 def _values(csp: Csp, mask: int) -> tuple[Fraction, ...]:
@@ -353,10 +357,9 @@ def _satisfies(csp: Csp, values) -> bool:
     """Whether an assignment of grid points satisfies every constraint."""
     grid = csp.instance.grid
     model = csp.instance.preference_model
-    flag = csp.options.robust_ambiguous_violation
     return (
         all(values[a] == values[b] for a, b in csp.equalities)
-        and all(_accepts(model, flag, grid[p], values[t], values[d]) for t, d, p in csp.sp_constraints)
+        and all(_accepts(model, grid[p], values[t], values[d]) for t, d, p in csp.sp_constraints)
         and all(
             any(len({values[v] for v in group}) >= 2 for group in c.groups)
             for c in csp.vr_constraints
@@ -385,11 +388,11 @@ def _synthetic_csps(draw) -> Csp:
             max_size=2,
         )
     )
-    model, flag = draw(st.sampled_from(_PREFERENCES))
+    model = draw(st.sampled_from(_PREFERENCES))
     return Csp(
         instance=dataclasses.replace(_CHAIN2, preference_model=model),
         properties=(),
-        options=CspOptions(robust_ambiguous_violation=flag),
+        options=CspOptions(),
         keys=_CHAIN2_KEYS,
         domains=domains,
         equalities=tuple(sorted(equalities)),

@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 
 import reference_checkers as reference
+import treechoice.enumeration as enumeration
 import treechoice.properties as properties
 from treechoice import (
     AnonymityVariant,
     BudgetExceededError,
     ConfigurationError,
-    CspOptions,
     DirectChildrenMedian,
     Instance,
     InvitationGraph,
@@ -33,7 +33,7 @@ from treechoice import (
 )
 from treechoice.enumeration import SPACE_CACHE_SIZE, SituationSpace, situation_space
 from treechoice.fileio import make_chain, make_fig2, uniform_grid
-from conftest import instances_for, make_deep_demo, tree_shapes
+from conftest import instances_for, make_deep_demo, space_never_built, tree_shapes
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -194,11 +194,13 @@ def test_rules_with_different_phantoms_get_separate_tables():
     assert tabulate_scf(inst, high) != first
     assert tabulate_scf(inst, low) == first
     assert properties.rule_table(low, inst)[1] is not properties.rule_table(high, inst)[1]
+    # an equal rule built anew shares the table
+    assert properties.rule_table(DirectChildrenMedian((F(0),)), inst)[1] is properties.rule_table(low, inst)[1]
     truthful = situation_key(graph, inst.truthful_reports())
     assert (first[truthful], tabulate_scf(inst, high)[truthful]) == (F(0), F(1))
 
 
-def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
+def test_budgets_are_projected_before_the_space_is_read(fig2_instance, monkeypatch):
     dcm = DirectChildrenMedian()
     assert check_sp(dcm, fig2_instance).passed  # fig2's space and table are now cached
     calls = [
@@ -218,8 +220,10 @@ def test_budgets_are_projected_before_the_space_is_read(fig2_instance):
     assert reference.check_pareto(dcm, fig2_instance, budget=10).profiles_examined == 4
     with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
         check_pareto(dcm, fig2_instance, budget=10)
-    with pytest.raises(BudgetExceededError, match="profile enumeration size 5184 exceeds budget 10"):
-        tabulate_scf(fig2_instance, dcm, options=CspOptions(profile_budget=10))
+    # tabulation projects the profiles against the default budget before it builds the space
+    monkeypatch.setattr(enumeration, "SituationSpace", space_never_built)
+    with pytest.raises(BudgetExceededError, match="profile enumeration size 5038848 exceeds budget 2000000"):
+        tabulate_scf(make_chain(9, 3), dcm)
 
 
 def test_diffusion_budget_bounds_the_table_it_reads():
@@ -245,7 +249,7 @@ def test_relevance_with_empty_scope_never_tabulates():
     report = check_voter_relevance(rule, inst, 0)
     assert report.to_json() == reference.check_voter_relevance(rule, inst, 0).to_json()
     assert report.passed and report.profiles_examined == 0
-    assert all(entry[0] is not rule for entry in situation_space(inst).tables.values())
+    assert all(scf is not rule for scf, _ in situation_space(inst).tables)
     with pytest.raises(RuntimeError, match="evaluated"):
         check_voter_relevance(rule, inst, 1)
 
