@@ -22,7 +22,7 @@ from .model import (
     participating_voters,
     reported_depths,
 )
-from .properties import parse_property, run_check
+from .properties import run_check
 from .scf import parse_scf
 
 EXIT_OK = 0
@@ -69,13 +69,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     scf = parse_scf(args.scf)
-    prop = parse_property(args.property)
-    if prop == "SP" and args.mode == "diffusion-only":
-        prop = "SP-D"
     report = run_check(
         scf,
         instance,
-        prop,
+        args.property,
         budget=args.budget,
         ambiguous_is_violation=not args.ambiguous_ok,
     )
@@ -126,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scf", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--property", required=True, help="SP, SP-D, PE, ONTO, AN, AN-S, AN-D, AN-SD, VR-<d>, DEPTH1-HULL")
-    p.add_argument("--mode", choices=["full", "diffusion-only"], default="full")
     p.add_argument("--budget", type=int, default=DEFAULT_PROFILE_BUDGET)
     p.add_argument("--ambiguous-ok", action="store_true", help="do not count ambiguous comparisons as violations")
     p.add_argument("--out")

@@ -224,7 +224,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
             continue
         for sid, classes in enumerate(space.classes(AnonymityVariant(token))):
             base = var[sid]
-            for members in classes:
+            for _, members in classes:
                 for pair in itertools.combinations(members, 2):
                     a, b = space.peaks(sid, pair)
                     if a != b:

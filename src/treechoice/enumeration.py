@@ -126,13 +126,10 @@ def others_assignments(
 ) -> Iterator[dict[VoterId, ReportedType]]:
     """Joint reports of everyone except ``voter``, in lexicographic order."""
     others = [v for v in instance.graph.voters if v != voter]
-    spaces = [instance.report_space(v) for v in others]
-    size = 1
-    for space in spaces:
-        size *= len(space)
+    size = profile_space_size(instance) // instance.report_space_size(voter)
     if budget is not None and size > budget:
         raise BudgetExceededError(size, budget, what="profile enumeration")
-    for combo in itertools.product(*spaces):
+    for combo in itertools.product(*(instance.report_space(v) for v in others)):
         yield dict(zip(others, combo))
 
 
@@ -206,14 +203,22 @@ class SituationSpace:
       profile where the voter reports ``reports[voter][0]``, and the
       situation of each of the voter's reports in ``report_space`` order.
     - ``classes(variant)`` lists, for each situation, its anonymity classes
-      of two or more voters; ``permuted(variant)`` lists its peak-permuted
-      situations in ``check_anonymity``'s order.
+      of two or more voters, each as (class key, voter indices), in key
+      order.
+    - ``permutations(s, variant)`` yields the peak permutations within the
+      classes of situation ``s`` in ``check_anonymity``'s order, each as
+      (class key, member indices, permuted peak grid indices, permuted
+      situation); the check scans them, and rebuilds its witness from one.
+      ``permuted(variant)`` caches the permuted situations of every
+      situation, in the same order.
     - ``hull(s, members)`` is the grid-index range of the peaks the voters
       ``members`` report in situation ``s``; the PE and depth-1 checks and
       the search encoder all read hulls from it.
     - ``positions_with_peaks(peaks)`` lists the profiles where every voter
       reports a given peak, such as the truthful-peak profiles PE scans.
-    - ``key_order()`` lists the situations by ascending key.
+    - ``key_order()`` lists the situations by ascending key: a key lists
+      its entries by voter, and an entry compares by voter, then peak, then
+      invited tuple.
     - ``tables`` maps a rule and a preference model to the rule's outcome
       per situation; the checkers fill it (``properties.rule_table``), at
       most ``TABLES_PER_SPACE`` entries.
@@ -257,19 +262,12 @@ class SituationSpace:
 
         sids = [0] * math.prod(sizes)
         for sid, (reached, start, _) in enumerate(leaves):
-            free = [k for k in range(len(voters)) if not reached >> k & 1]
-            step = run = 1  # the innermost free digits cover `run` positions `step` apart
-            if free:
-                k = free.pop()
-                step, run = strides[k], sizes[k]
-                while free and strides[free[-1]] == step * run:
-                    run *= sizes[free.pop()]
-            starts = [start]
-            for k in free:
-                starts = [s + r * strides[k] for s in starts for r in range(sizes[k])]
-            fill = [sid] * run
-            for s in starts:
-                sids[s : s + run * step : step] = fill
+            positions = [start]
+            for k in range(len(voters)):
+                if not reached >> k & 1:
+                    positions = [p + r * strides[k] for p in positions for r in range(sizes[k])]
+            for p in positions:
+                sids[p] = sid
 
         self.digits: list[tuple[int, ...]] = [digits for _, _, digits in leaves]
         self.keys: tuple[SituationKey, ...] = tuple(
@@ -277,10 +275,9 @@ class SituationSpace:
         )
         self.profile_sids = sids
         self.tables: OrderedDict = OrderedDict()
-        self._participants = [reached for reached, _, _ in leaves]
         self._strides = strides
         self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
-        self._classes: dict[AnonymityVariant, list[tuple[tuple[int, ...], ...]]] = {}
+        self._classes: dict[AnonymityVariant, list[tuple[tuple[tuple, tuple[int, ...]], ...]]] = {}
         self._permuted: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
         self._key_order: list[int] | None = None
 
@@ -303,12 +300,12 @@ class SituationSpace:
             k = voters.index(voter)
             stride = self._strides[k]
             block = stride * len(self.reports[voter])
-            sids = self.profile_sids
+            sids, digits = self.profile_sids, self.digits
             starts = [
                 pos
                 for start in range(0, len(sids), block)
                 for pos in range(start, start + stride)
-                if self._participants[sids[pos]] >> k & 1
+                if digits[sids[pos]][k] >= 0
             ]
             contexts = self._contexts[voter] = (stride, block, starts)
         stride, block, starts = contexts
@@ -352,8 +349,8 @@ class SituationSpace:
         # the profile where every voter not taking part reports its first report
         return self.profile_sids[sum(r * stride for r, stride in zip(digits, self._strides) if r > 0)]
 
-    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[int, ...], ...]]:
-        """Per situation, its ``permutation_classes`` of two or more voters, as voter indices.
+    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
+        """Per situation, its ``permutation_classes`` of two or more voters, as (key, voter indices).
 
         Classes read only who takes part and what they invite, so they are
         computed once per such pattern.
@@ -361,7 +358,7 @@ class SituationSpace:
         out = self._classes.get(variant)
         if out is None:
             index = {v: k for k, v in enumerate(self.graph.voters)}
-            by_pattern: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+            by_pattern: dict[tuple[int, ...], tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
             out = []
             for key, digits in zip(self.keys, self.digits):
                 pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, self.invitations))
@@ -369,7 +366,7 @@ class SituationSpace:
                 if classes is None:
                     reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
                     classes = by_pattern[pattern] = tuple(
-                        tuple(sorted(index[v] for v in cls.members))
+                        (cls.key, tuple(sorted(index[v] for v in cls.members)))
                         for cls in permutation_classes(self.graph, reports, variant)
                         if len(cls.members) >= 2
                     )
@@ -377,66 +374,39 @@ class SituationSpace:
             self._classes[variant] = out
         return out
 
+    def permutations(
+        self, sid: int, variant: AnonymityVariant
+    ) -> Iterator[tuple[tuple, tuple[int, ...], tuple[int, ...], int]]:
+        """Every peak permutation the anonymity check compares with situation ``sid``.
+
+        Classes come in key order and, within one, permutations of the
+        members' peaks in ``itertools.permutations`` order; a permutation
+        equal to the situation (the identity, or a swap of equal peaks) is
+        skipped. Each comes as (class key, member indices, permuted peak grid
+        indices, permuted situation).
+        """
+        for key, members in self.classes(variant)[sid]:
+            peaks = self.peaks(sid, members)
+            for perm in itertools.permutations(peaks):
+                if perm != peaks:
+                    yield key, members, perm, self.with_peaks(sid, members, perm)
+
     def permuted(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
-        """Per situation, the situations of ``anonymity_permutations``, in its order."""
+        """Per situation, the permuted situations of ``permutations``, in its order."""
         out = self._permuted.get(variant)
         if out is None:
             out = []
-            for sid, classes in enumerate(self.classes(variant)):
-                found: list[int] = []
-                for members in classes:
-                    peaks = self.peaks(sid, members)
-                    found.extend(
-                        self.with_peaks(sid, members, perm)
-                        for perm in itertools.permutations(peaks)
-                        if perm != peaks
-                    )
+            for sid in range(len(self.keys)):
+                found = [other for _, _, _, other in self.permutations(sid, variant)]
                 out.append(tuple(found))
             self._permuted[variant] = out
         return out
 
     def key_order(self) -> list[int]:
-        """Situation ids by ascending key, compared as ints.
-
-        A key lists its entries by voter, and an entry compares by voter,
-        then peak, then invited tuple; each report is ranked that way among
-        its voter's reports, after every report of the voters before it.
-        """
+        """Situation ids by ascending key."""
         if self._key_order is None:
-            ranks: list[list[int]] = []
-            offset = 0
-            for v, n in zip(self.graph.voters, self.invitations):
-                reports = self.reports[v]
-                by_entry = sorted(range(len(reports)), key=lambda r: (r // n, sorted(reports[r].invited)))
-                rank = [0] * len(reports)
-                for position, r in enumerate(by_entry):
-                    rank[r] = offset + position
-                ranks.append(rank)
-                offset += len(reports)
-            self._key_order = sorted(
-                range(len(self.keys)),
-                key=lambda sid: tuple(ranks[k][r] for k, r in enumerate(self.digits[sid]) if r >= 0),
-            )
+            self._key_order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
         return self._key_order
-
-
-def anonymity_permutations(
-    graph: InvitationGraph,
-    reports: Mapping[VoterId, ReportedType],
-    variant: AnonymityVariant,
-) -> Iterator[tuple[PermutationClass, dict[VoterId, ReportedType]]]:
-    """Every peak permutation the anonymity check compares with ``reports``.
-
-    Classes come in key order and, within one, permutations in
-    ``itertools.permutations`` order; a permutation equal to ``reports``
-    (the identity, or a swap of equal peaks) is skipped.
-    """
-    for cls in permutation_classes(graph, reports, variant):
-        if len(cls.members) < 2:
-            continue
-        for permuted in peak_permutations(reports, cls):
-            if permuted != reports:
-                yield cls, permuted
 
 
 _SPACES: OrderedDict[tuple, SituationSpace] = OrderedDict()

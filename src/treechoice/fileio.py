@@ -46,7 +46,8 @@ def uniform_grid(points: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, points - 1) for k in range(points))
 
 
-def _rational_at(path: str, text) -> Fraction:
+def rational_at(path: str, text) -> Fraction:
+    """A ``num/den`` string; anything else raises InstanceFileError at ``path``."""
     if not isinstance(text, str):
         raise InstanceFileError(path, f"expected a 'num/den' string, got {text!r}")
     try:
@@ -55,38 +56,41 @@ def _rational_at(path: str, text) -> Fraction:
         raise InstanceFileError(path, str(exc)) from exc
 
 
+def object_at(path: str, data, fields: tuple[str, ...] = (), *, what: str = "a JSON object") -> Mapping:
+    """A JSON object holding ``fields``; anything else raises InstanceFileError at the path at fault."""
+    if not isinstance(data, Mapping):
+        raise InstanceFileError(path, f"expected {what}")
+    for field in fields:
+        if field not in data:
+            raise InstanceFileError(f"{path}.{field}", "missing required field")
+    return data
+
+
+def voter_ids_at(path: str, ids) -> frozenset[VoterId]:
+    """A list of voter id strings; anything else raises InstanceFileError at ``path``."""
+    if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+        raise InstanceFileError(path, "expected a list of voter ids")
+    return frozenset(ids)
+
+
 def parse_instance(data: Mapping, *, source: str = "instance") -> Instance:
     """Build an Instance from a parsed JSON document."""
-    if not isinstance(data, Mapping):
-        raise InstanceFileError(source, "expected a JSON object")
-    for field in ("moderator_children", "children", "peaks", "grid"):
-        if field not in data:
-            raise InstanceFileError(f"{source}.{field}", "missing required field")
-    mc = data["moderator_children"]
-    if not isinstance(mc, list) or not all(isinstance(v, str) for v in mc):
-        raise InstanceFileError(f"{source}.moderator_children", "expected a list of voter ids")
-    children_raw = data["children"]
-    if not isinstance(children_raw, Mapping):
-        raise InstanceFileError(f"{source}.children", "expected an object of id -> [ids]")
-    children: dict[VoterId, frozenset[VoterId]] = {}
-    for v, kids in children_raw.items():
-        if not isinstance(kids, list) or not all(isinstance(c, str) for c in kids):
-            raise InstanceFileError(f"{source}.children.{v}", "expected a list of voter ids")
-        children[v] = frozenset(kids)
+    object_at(source, data, ("moderator_children", "children", "peaks", "grid"))
+    mc = voter_ids_at(f"{source}.moderator_children", data["moderator_children"])
+    children_raw = object_at(f"{source}.children", data["children"], what="an object of id -> [ids]")
+    children = {v: voter_ids_at(f"{source}.children.{v}", kids) for v, kids in children_raw.items()}
     try:
-        graph = InvitationGraph(frozenset(mc), children)
+        graph = InvitationGraph(mc, children)
     except StructuralError as exc:
         raise InstanceFileError(f"{source}.children", str(exc)) from exc
 
-    peaks_raw = data["peaks"]
-    if not isinstance(peaks_raw, Mapping):
-        raise InstanceFileError(f"{source}.peaks", "expected an object of id -> 'num/den'")
-    peaks = {v: _rational_at(f"{source}.peaks.{v}", q) for v, q in peaks_raw.items()}
+    peaks_raw = object_at(f"{source}.peaks", data["peaks"], what="an object of id -> 'num/den'")
+    peaks = {v: rational_at(f"{source}.peaks.{v}", q) for v, q in peaks_raw.items()}
 
     grid_raw = data["grid"]
     if not isinstance(grid_raw, list):
         raise InstanceFileError(f"{source}.grid", "expected a list of 'num/den' strings")
-    grid = tuple(_rational_at(f"{source}.grid[{i}]", q) for i, q in enumerate(grid_raw))
+    grid = tuple(rational_at(f"{source}.grid[{i}]", q) for i, q in enumerate(grid_raw))
 
     model_raw = data.get("preference_model", "symmetric")
     try:
@@ -140,11 +144,9 @@ def parse_reports(
     for v, entry in data.get("reports", {}).items():
         if v not in out:
             raise InstanceFileError(f"{source}.reports.{v}", "unknown voter")
-        peak = _rational_at(f"{source}.reports.{v}.peak", entry.get("peak"))
-        invited_raw = entry.get("invited", [])
-        if not isinstance(invited_raw, list):
-            raise InstanceFileError(f"{source}.reports.{v}.invited", "expected a list of ids")
-        invited = frozenset(invited_raw)
+        object_at(f"{source}.reports.{v}", entry, what="an object with 'peak' and 'invited'")
+        peak = rational_at(f"{source}.reports.{v}.peak", entry.get("peak"))
+        invited = voter_ids_at(f"{source}.reports.{v}.invited", entry.get("invited", []))
         extra = invited - instance.graph.true_children(v)
         if extra:
             raise InstanceFileError(

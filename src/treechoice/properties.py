@@ -29,7 +29,6 @@ from .enumeration import (
     DEFAULT_PROFILE_BUDGET,
     TABLES_PER_SPACE,
     SituationSpace,
-    anonymity_permutations,
     deviation_space_size,
     enumerate_profiles,
     situation_space,
@@ -369,14 +368,16 @@ def check_anonymity(
             if outcomes[other] != outcomes[sid]:
                 position = space.profile_sids.index(sid)
                 profile = space.profile_at(position)
-                cls, permuted_profile = next(
-                    itertools.islice(anonymity_permutations(instance.graph, profile, variant), k, None)
-                )
+                key, members, peaks, _ = next(itertools.islice(space.permutations(sid, variant), k, None))
+                names = [instance.graph.voters[m] for m in members]
+                permuted_profile = dict(profile)
+                for v, peak in zip(names, peaks):
+                    permuted_profile[v] = ReportedType(instance.grid[peak], profile[v].invited)
                 witness = {
                     "profile": profile_to_json(profile),
                     "permuted_profile": profile_to_json(permuted_profile),
-                    "class_key": list(cls.key),
-                    "class_members": sorted(cls.members),
+                    "class_key": list(key),
+                    "class_members": names,
                     "outcome": format_rational(table.values[outcomes[sid]]),
                     "permuted_outcome": format_rational(table.values[outcomes[other]]),
                 }

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from .fileio import InstanceFileError, object_at, rational_at, voter_ids_at
 from .model import (
     ConfigurationError,
     Instance,
@@ -276,23 +277,39 @@ class Gmvs(SocialChoiceFunction):
 
 
 def _parse_gmvs_file(path: Path) -> GmvsParameters:
+    """Read gmvs parameters; a malformed document raises InstanceFileError at the JSON path at fault."""
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read gmvs parameters from {path}: {exc}") from exc
+    source = str(path)
+    object_at(source, data)
     if "anonymous" in data:
-        anonymous = {
-            int(n): tuple(parse_rational(v) for v in row) for n, row in data["anonymous"].items()
-        }
+        rows = object_at(f"{source}.anonymous", data["anonymous"], what="an object of size -> [values]")
+        anonymous: dict[int, tuple[Fraction, ...]] = {}
+        for n, row in rows.items():
+            if not (n.isascii() and n.isdigit()):
+                raise InstanceFileError(f"{source}.anonymous.{n}", "expected a nonnegative integer size")
+            if not isinstance(row, list):
+                raise InstanceFileError(f"{source}.anonymous.{n}", "expected a list of 'num/den' strings")
+            anonymous[int(n)] = tuple(rational_at(f"{source}.anonymous.{n}[{i}]", q) for i, q in enumerate(row))
         return GmvsParameters(anonymous=anonymous)
     if "by_subset" in data:
+        entries = data["by_subset"]
+        if not isinstance(entries, list):
+            raise InstanceFileError(f"{source}.by_subset", "expected a list of {participants, alpha} objects")
         by_subset: dict[frozenset[VoterId], dict[frozenset[VoterId], Fraction]] = {}
-        for entry in data["by_subset"]:
-            group = frozenset(entry["participants"])
-            table = {
-                frozenset(item["subset"]): parse_rational(item["value"]) for item in entry["alpha"]
-            }
-            by_subset[group] = table
+        for i, entry in enumerate(entries):
+            at = f"{source}.by_subset[{i}]"
+            object_at(at, entry, ("participants", "alpha"))
+            if not isinstance(entry["alpha"], list):
+                raise InstanceFileError(f"{at}.alpha", "expected a list of {subset, value} objects")
+            table = {}
+            for j, item in enumerate(entry["alpha"]):
+                object_at(f"{at}.alpha[{j}]", item, ("subset", "value"))
+                subset = voter_ids_at(f"{at}.alpha[{j}].subset", item["subset"])
+                table[subset] = rational_at(f"{at}.alpha[{j}].value", item["value"])
+            by_subset[voter_ids_at(f"{at}.participants", entry["participants"])] = table
         return GmvsParameters(by_subset=by_subset)
     raise ConfigurationError(f"{path}: expected an 'anonymous' or 'by_subset' section")
 

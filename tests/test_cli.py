@@ -110,7 +110,7 @@ def test_check_mode_flag_selects_diffusion_variant(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "check", "--scf", "depth-weighted-median", "--instance", str(path),
-        "--property", "SP", "--mode", "diffusion-only",
+        "--property", "SP-D",
     )
     assert code == 0
     assert json.loads(out)["property"] == "SP-D"
@@ -172,6 +172,9 @@ def test_usage_and_validation_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--serial"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # SP-D is the diffusion check; there is no --mode
+        main(["check", "--scf", "direct-median", "--instance", str(good), "--property", "SP", "--mode", "full"])
+    assert exc.value.code == 1
 
 
 def test_instance_file_errors_are_path_qualified(tmp_path, capsys):
@@ -187,6 +190,30 @@ def test_instance_file_errors_are_path_qualified(tmp_path, capsys):
     )
     assert code == 1
     assert "peaks.a" in err
+
+
+@pytest.mark.parametrize(
+    "option, document, at",
+    [
+        ("--reports", {"reports": {"i": "3/5"}}, ".reports.i"),
+        ("--reports", {"reports": {"i": {"peak": "3/5", "invited": [["u"]]}}}, ".reports.i.invited"),
+        ("--scf", {"anonymous": {"two": ["0/1", "1/1"]}}, ".anonymous.two"),
+        ("--scf", {"anonymous": {"1": ["0/1", "zz"]}}, ".anonymous.1[1]"),
+        ("--scf", {"by_subset": [{"participants": ["i", "j"]}]}, ".by_subset[0].alpha"),
+    ],
+    ids=["report-not-object", "invited-not-string", "gmvs-size-not-int", "gmvs-not-rational", "gmvs-no-alpha"],
+)
+def test_malformed_report_and_gmvs_files_are_path_qualified(tmp_path, capsys, option, document, at):
+    instance = tmp_path / "fig2.json"
+    main(["gen", "--shape", "fig2", "--out", str(instance)])
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    given = ["--reports", str(path), "--scf", "direct-median"] if option == "--reports" else ["--scf", f"gmvs:{path}"]
+    code, out, err = run_cli(capsys, "evaluate", "--instance", str(instance), *given)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert set(error) == {"error", "kind"}
+    assert error["error"].startswith(f"{path}{at}: ")
 
 
 def test_matrix_markdown_smoke(capsys):

@@ -114,3 +114,10 @@ def test_others_assignments_exclude_the_voter():
     inst = make_chain(2, 3)
     for others in others_assignments(inst, "i"):
         assert set(others) == {"j"}
+
+
+def test_others_assignments_size_is_the_profile_space_without_the_voter():
+    inst = make_fig2()  # 5,184 profiles; voter i has 6 peaks x 4 invited subsets
+    assert len(list(others_assignments(inst, "i", budget=216))) == 216
+    with pytest.raises(BudgetExceededError, match="profile enumeration size 216 exceeds budget 215"):
+        next(others_assignments(inst, "i", budget=215))

@@ -28,6 +28,8 @@ from treechoice import (
     check_voter_relevance,
     parse_scf,
     participating_voters,
+    peak_permutations,
+    permutation_classes,
     situation_key,
     tabulate_scf,
 )
@@ -80,6 +82,38 @@ def test_space_numbers_situations_as_the_profile_enumeration_does():
         assert space.keys == keys
         assert space.profile_sids == sids
     assert len(shapes) == 2 * 2 * 16  # 1 + 2 + 4 + 9 shapes of 1 to 4 voters
+
+
+def test_permutations_follow_the_dict_streams():
+    # the scan's order against permutation_classes then peak_permutations on
+    # each situation's first profile, skipping a permutation equal to it; the
+    # differential test only reaches shapes of up to 3 voters
+    shapes = [Instance(graph, {v: GRID3[-1] for v in graph.voters}, GRID3) for graph in tree_shapes(4, 4)]
+    for inst in shapes + [make_fig2()]:
+        space = SituationSpace(inst)
+        voters = inst.graph.voters
+        sid_of = {key: sid for sid, key in enumerate(space.keys)}
+        first: dict[int, int] = {}
+        for position, sid in enumerate(space.profile_sids):
+            first.setdefault(sid, position)
+        for variant in AnonymityVariant:
+            permuted = space.permuted(variant)
+            for sid in range(len(space.keys)):
+                profile = space.profile_at(first[sid])
+                expected = [
+                    (cls.key, sorted(cls.members), sid_of[situation_key(inst.graph, other)])
+                    for cls in permutation_classes(inst.graph, profile, variant)
+                    if len(cls.members) >= 2
+                    for other in peak_permutations(profile, cls)
+                    if other != profile
+                ]
+                stream = [
+                    (key, [voters[m] for m in members], other)
+                    for key, members, _, other in space.permutations(sid, variant)
+                ]
+                assert stream == expected
+                assert permuted[sid] == tuple(other for _, _, other in expected)
+    assert len(shapes) == 16
 
 
 class _ReflectedLastPeak(SocialChoiceFunction):
