@@ -16,11 +16,15 @@ the shared ``SituationSpace`` (the one the checkers scan) and emits
 integers: a domain is a bitmask over grid indices and an SP constraint names
 its true peak by grid index. ``solve`` works on the same integers and reads
 preferences from one table filled by the exact ``compare``, so Fractions
-appear only at the boundary: in situation keys and in Sat models.
+appear only at the boundary: in situation keys and in Sat models. Its
+kernel reads tables: an arc revision is one lookup in a memo of supported
+values filled from that table, and the smallest-domain variable is the top
+of a lazy heap rather than the result of a scan.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -232,7 +236,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
                         equalities.add((min(base, other), max(base, other)))
 
     sp_mode = "full" if "SP" in props else ("diffusion" if "SP-D" in props else None)
-    sp_constraints: set[tuple[int, int, int]] = set()
+    sp_constraints: dict[tuple[int, int, int], None] = {}  # insertion-ordered set
     vr_scope: set[VoterId] = set()
     for token in props:
         if token.startswith("VR-"):
@@ -257,7 +261,9 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
                 for p in range(points):
                     var_t = rep_var[p * n + n - 1]
                     devs = rep_var if sp_mode == "full" else rep_var[p * n : (p + 1) * n]
-                    sp_constraints.update((var_t, var_d, p) for var_d in devs if var_d != var_t)
+                    for var_d in devs:
+                        if var_d != var_t:
+                            sp_constraints[var_t, var_d, p] = None
             if voter in vr_scope:
                 members = tuple(sorted(set(rep_var)))
                 if len(members) >= 2:
@@ -277,13 +283,31 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
     )
 
 
-def _supported(mask: int, support: tuple[int, ...], other: int) -> int:
-    """The values in ``mask`` whose ``support`` mask meets the ``other`` domain."""
+def _supported(support: tuple[int, ...], other: int) -> int:
+    """The values whose ``support`` mask meets the ``other`` domain."""
     keep = 0
     for k, allowed in enumerate(support):
-        if mask >> k & 1 and allowed & other:
+        if allowed & other:
             keep |= 1 << k
     return keep
+
+
+class _Supports(dict):
+    """``self[other]`` is ``_supported(support, other)``, filled on first use.
+
+    Over ``preference_masks(...)[0][p]`` it holds the truthful values that
+    some deviation in ``other`` does not beat for a voter with peak ``p``;
+    over the backward row, the deviations that some truthful value in
+    ``other`` does not beat. An arc revision is then one lookup.
+    """
+
+    def __init__(self, support: tuple[int, ...]) -> None:
+        super().__init__()
+        self.support = support
+
+    def __missing__(self, other: int) -> int:
+        keep = self[other] = _supported(self.support, other)
+        return keep
 
 
 def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = None) -> CspResult:
@@ -292,10 +316,11 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     Anonymity equalities are merged by union-find, unary hulls are already
     in the domains, arc consistency runs on the preference constraints, and
     the relevance disjunctions are checked lazily on complete assignments.
-    Variable order is most-constrained-first; value order is ascending grid.
-    ``order_seed`` shuffles the tie-break and value orders (the verdict must
-    not depend on it); ``timeout_s`` bounds merging, arc consistency and
-    search alike, and aborts with InconclusiveError.
+    The next variable has the smallest domain, ties to the earliest in a
+    fixed tie-break order; value order is ascending grid. ``order_seed``
+    shuffles the tie-break and value orders (the verdict must not depend on
+    it); ``timeout_s`` bounds merging, arc consistency and search alike, and
+    aborts with InconclusiveError.
 
     Inside, a value is its index on the grid and a domain is a bitmask of
     indices. The preference constraints read one table built from the exact
@@ -303,6 +328,14 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     verdict rests on anything coarser than Fractions; an AMBIGUOUS
     comparison counts as a violation, as in ``verify_model``'s replay. A Sat
     model is mapped back to grid Fractions.
+
+    The kernel looks its answers up. An arc revision reads the supported
+    values of one side from a per-peak memo keyed by the other side's
+    domain (``_Supports``), and the next variable is the top of a lazy
+    min-heap of (domain size, tie-break rank, variable): every domain change
+    pushes an entry, stale entries are dropped when they surface, and the
+    heap is rebuilt from the unassigned variables when it outgrows twice the
+    merged variable count.
     ``stats["phase_s"]`` gives the seconds spent merging (with the table),
     in arc consistency and in search.
     """
@@ -329,13 +362,15 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
+    # a class is represented by its smallest variable, so reps ascend
     rep_of = [find(i) for i in range(n)]
-    dom: dict[int, int] = {}
+    reps = [i for i in range(n) if rep_of[i] == i]
+    dom = [(1 << len(grid)) - 1] * n
     for r, mask in zip(rep_of, csp.domains):
-        dom[r] = dom[r] & mask if r in dom else mask
+        dom[r] &= mask
 
     sp = sorted(
-        {(rep_of[t], rep_of[d], p) for t, d, p in csp.sp_constraints if rep_of[t] != rep_of[d]}
+        dict.fromkeys((rep_of[t], rep_of[d], p) for t, d, p in csp.sp_constraints if rep_of[t] != rep_of[d])
     )
     vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
     vr_collapsed: VoterId | None = None
@@ -352,15 +387,17 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         vr.append((c.voter, tuple(groups)))
 
     forward, backward = preference_masks(grid, csp.instance.preference_model, True)
-    cons_by_var: dict[int, list[int]] = {}
+    support_fwd = [_Supports(row) for row in forward]
+    support_bwd = [_Supports(row) for row in backward]
+    cons_by_var: list[list[int]] = [[] for _ in range(n)]
     for ci, (t, d, p) in enumerate(sp):
-        cons_by_var.setdefault(t, []).append(ci)
-        cons_by_var.setdefault(d, []).append(ci)
+        cons_by_var[t].append(ci)
+        cons_by_var[d].append(ci)
     t_ac3 = time.monotonic()
     phase_s = {"merge": t_ac3 - t0, "ac3": 0.0, "search": 0.0}
     stats: dict = {
         "variables": n,
-        "merged_variables": len(dom),
+        "merged_variables": len(reps),
         "sp_constraints": len(sp),
         "anon_equalities": len(csp.equalities),
         "vr_constraints": len(vr),
@@ -373,7 +410,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         stats["nodes_explored"] = nodes
         return CspResult(verdict, model, nodes, dict(stats), time.monotonic() - t0)
 
-    if any(not d for d in dom.values()):
+    if any(not dom[r] for r in reps):
         stats["refuted_by"] = "empty-domain"
         return finish("unsat", None, 0)
     if vr_collapsed is not None:
@@ -383,30 +420,32 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
 
     # arc consistency to a fixpoint
     queue = list(range(len(sp)))
-    queued = set(queue)
+    queued = [True] * len(sp)
     while queue:
         check_deadline(stats)
         ci = queue.pop()
-        queued.discard(ci)
+        queued[ci] = False
         t, d, p = sp[ci]
-        keep_t = _supported(dom[t], forward[p], dom[d])
-        keep_d = _supported(dom[d], backward[p], dom[t])
-        for var, keep in ((t, keep_t), (d, keep_d)):
-            if keep != dom[var]:
-                stats["ac3_prunes"] += dom[var].bit_count() - keep.bit_count()
+        dom_t, dom_d = dom[t], dom[d]
+        keep_t = dom_t & support_fwd[p][dom_d]
+        keep_d = dom_d & support_bwd[p][dom_t]
+        if keep_t == dom_t and keep_d == dom_d:
+            continue
+        for var, old, keep in ((t, dom_t, keep_t), (d, dom_d, keep_d)):
+            if keep != old:
+                stats["ac3_prunes"] += old.bit_count() - keep.bit_count()
                 dom[var] = keep
                 if not keep:
                     stats["refuted_by"] = "arc-consistency"
                     phase_s["ac3"] = time.monotonic() - t_ac3
                     return finish("unsat", None, 0)
-                for other in cons_by_var.get(var, ()):
-                    if other not in queued:
-                        queued.add(other)
+                for other in cons_by_var[var]:
+                    if not queued[other]:
+                        queued[other] = True
                         queue.append(other)
     t_search = time.monotonic()
     phase_s["ac3"] = t_search - t_ac3
 
-    reps = sorted(dom)
     by_tie = reps
     value_order = list(range(len(grid)))
     if order_seed is not None:
@@ -414,22 +453,29 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         by_tie = reps[:]
         rng.shuffle(by_tie)
         rng.shuffle(value_order)
+    rank = [0] * n
+    for i, r in enumerate(by_tie):
+        rank[r] = i
 
     assignment: dict[int, int] = {}
     trail: list[tuple[int, int]] = []  # (variable, domain before a change), undone by depth
+    # (domain size, rank, variable); an entry is live while its variable is
+    # unassigned and its size is current, and every unassigned variable has one
+    heap = [(dom[r].bit_count(), rank[r], r) for r in by_tie]
+    heapq.heapify(heap)
+    heap_limit = 2 * len(reps)
 
     def choose() -> int | None:
-        # the smallest domain, ties to the earliest in by_tie; no unassigned
-        # domain is ever empty, so a singleton is already the minimum
-        best, best_size = None, len(grid) + 1
-        for r in by_tie:
-            if r not in assignment:
-                size = dom[r].bit_count()
-                if size < best_size:
-                    best, best_size = r, size
-                    if size == 1:
-                        break
-        return best
+        # the smallest domain, ties to the earliest in by_tie
+        if len(heap) > heap_limit:
+            heap[:] = [(dom[r].bit_count(), rank[r], r) for r in by_tie if r not in assignment]
+            heapq.heapify(heap)
+        while heap:
+            size, _, r = heap[0]
+            if r not in assignment and dom[r].bit_count() == size:
+                return r
+            heapq.heappop(heap)
+        return None
 
     def vr_satisfied() -> bool:
         for _, groups in vr:
@@ -438,7 +484,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         return True
 
     def propagate(var: int, val: int) -> bool:
-        for ci in cons_by_var.get(var, ()):
+        for ci in cons_by_var[var]:
             t, d, p = sp[ci]
             if t == var:
                 other, allowed = d, forward[p][val]
@@ -455,6 +501,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 dom[other] = keep
                 if not keep:
                     return False
+                heapq.heappush(heap, (keep.bit_count(), rank[other], other))
         return True
 
     # depth-first search on an explicit stack: a frame is the variable, its
@@ -476,6 +523,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             while len(trail) > mark:
                 changed, saved = trail.pop()
                 dom[changed] = saved
+                heapq.heappush(heap, (saved.bit_count(), rank[changed], changed))
             assignment.pop(var, None)
             val = next(values, None)
             if val is None:

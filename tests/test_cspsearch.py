@@ -36,8 +36,16 @@ from treechoice import (
     tabulate_scf,
     verify_model,
 )
-from treechoice.cspsearch import Csp, VrConstraint, collect_situations, model_to_json, normalize_properties
+from treechoice.cspsearch import (
+    Csp,
+    VrConstraint,
+    _Supports,
+    collect_situations,
+    model_to_json,
+    normalize_properties,
+)
 import treechoice.enumeration as enumeration
+from treechoice.model import preference_masks
 from treechoice.fileio import (
     make_chain,
     make_fig2,
@@ -296,6 +304,77 @@ def test_solve_reports_phase_times(inst, props, verdict, refuted_by):
     phases = result.stats["phase_s"]
     assert set(phases) == {"merge", "ac3", "search"}
     assert all(seconds >= 0 for seconds in phases.values())
+
+
+# the search workload's theorem instances: Sat by long search (fig2), Unsat
+# inside arc consistency (chains), Unsat by backtracking (branches, chain VR-2)
+SEARCH_CASES = {
+    "fig2": (make_fig2(), ("SP", "PE", "AN-SD", "VR-2")),
+    "branch-3-vr1": (make_two_children_one_grandchild(3), ("SP", "PE", "AN-D", "VR-1")),
+    **{f"chain-3-grid-{g}": (make_chain(3, g), ("SP", "PE", "AN-S")) for g in range(3, 9)},
+    **{f"branch-{g}-vr2": (make_two_children_one_grandchild(g), ("SP", "PE", "AN-D", "VR-2")) for g in (3, 4, 5)},
+    "chain-3-vr2": (make_chain(3, 3), ("SP", "PE", "VR-2")),
+}
+
+# sha256 of the sorted-key JSON list of CspResult.to_json(), without
+# wall_time_s and stats.phase_s, under order_seed None, 1 and 7; taken from
+# the solver that scanned every variable per node and revised arcs value by
+# value, so a kernel change must keep verdicts, models, node counts,
+# ac3_prunes and refuted_by alike
+SEARCH_SHA256 = {
+    "fig2": "12008d61285f8dcafc38d775cde1aedc1a7db38eaa73d7eab8b4bc4ba671eea8",
+    "branch-3-vr1": "96e53646ee9d317f6163bc15820726757a8592b3ecc0aff14fefa4939ae13945",
+    "chain-3-grid-3": "848ec4240badd32454f1f064d8366047114d0637cb05eb8c284f4e6008813b8c",
+    "chain-3-grid-4": "7a34e2a3f09c676d08873177e9b834cba065d8cb07f35267721a0e9e9da6ca1f",
+    "chain-3-grid-5": "e02304029d290a070fec27a578c9d03ae8c301b730b14c418b0a37ea9cd8ba51",
+    "chain-3-grid-6": "7baebf8873d92b8912b9da009fadce10fc44181982c069851913e31a5ba30f01",
+    "chain-3-grid-7": "c417be934a13c53b8a8d9c1489889eb1109a4efe0913b3412c38599bfa6b05d9",
+    "chain-3-grid-8": "d93567acd0e64fc45b9e34c55d02a450fcd4bd15fa5368a8e04bd5def789c4c4",
+    "branch-3-vr2": "f51f4b1b14e2a8c3dd03a6fd5147b4cfd6b6f1d51c21360063d85a85aa397b7c",
+    "branch-4-vr2": "b7881ec2f411e1272af603585a79eedefa70362986c42cfb89f21f04018350a0",
+    "branch-5-vr2": "dce55553ad8b76de4f6726efa376b18fd05df05d7798d1450d72aa5a2418afd8",
+    "chain-3-vr2": "b621f701731031b8995c6d63f266b10a635a629a65b97c152a97be7da2eb80c8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_order_matches_golden_digest(name):
+    inst, props = SEARCH_CASES[name]
+    csp = encode(inst, props)
+    docs = []
+    for seed in (None, 1, 7):
+        doc = solve(csp, order_seed=seed).to_json()
+        del doc["wall_time_s"]
+        doc["stats"] = {k: v for k, v in doc["stats"].items() if k != "phase_s"}
+        docs.append(doc)
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_SHA256[name]
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6])
+@pytest.mark.parametrize("model", [PreferenceModel.SYMMETRIC_DISTANCE, PreferenceModel.ROBUST_SINGLE_PEAKED])
+@pytest.mark.parametrize("ambiguous_violates", [True, False])
+def test_support_memo_matches_the_per_value_loop(points, model, ambiguous_violates):
+    grid = uniform_grid(points)
+    reject_ambiguous = model is PreferenceModel.ROBUST_SINGLE_PEAKED and ambiguous_violates
+
+    def accepts(p: int, x: int, y: int) -> bool:
+        verdict = compare(grid[p], grid[x], grid[y], model)
+        return verdict is not PreferenceVerdict.WORSE and not (
+            verdict is PreferenceVerdict.AMBIGUOUS and reject_ambiguous
+        )
+
+    masks = preference_masks(grid, model, ambiguous_violates)
+    values = range(points)
+    for p in values:
+        forward, backward = (_Supports(rows[p]) for rows in masks)
+        for other in range(1, 1 << points):
+            members = [k for k in values if other >> k & 1]
+            fwd = sum(1 << x for x in values if any(accepts(p, x, y) for y in members))
+            bwd = sum(1 << y for y in values if any(accepts(p, x, y) for x in members))
+            assert forward[other] == fwd
+            assert backward[other] == bwd
+        assert len(forward) == len(backward) == (1 << points) - 1
 
 
 def _csp_dump(csp: Csp) -> str:
