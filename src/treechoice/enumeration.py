@@ -32,7 +32,7 @@ DEFAULT_PROFILE_BUDGET = 2_000_000
 
 def profile_space_size(instance: Instance, *, budget: int | None = None) -> int:
     """Number of joint report profiles; BudgetExceededError names it above ``budget``."""
-    size = math.prod(instance.report_space_size(v) for v in instance.graph.voters)
+    size = instance.profile_count
     if budget is not None and size > budget:
         raise BudgetExceededError(size, budget, what="profile enumeration")
     return size
@@ -209,8 +209,8 @@ class SituationSpace:
       classes of situation ``s`` in ``check_anonymity``'s order, each as
       (class key, member indices, permuted peak grid indices, permuted
       situation); the check scans them, and rebuilds its witness from one.
-      ``permuted(variant)`` caches the permuted situations of every
-      situation, in the same order.
+      ``permuted(variant)`` yields the permuted situations of each
+      situation, in the same order, and caches each as it is first read.
     - ``hull(s, members)`` is the grid-index range of the peaks the voters
       ``members`` report in situation ``s``; the PE and depth-1 checks and
       the search encoder all read hulls from it.
@@ -221,7 +221,8 @@ class SituationSpace:
       invited tuple.
     - ``tables`` maps a rule and a preference model to the rule's outcome
       per situation; the checkers fill it (``properties.rule_table``), at
-      most ``TABLES_PER_SPACE`` entries.
+      most ``TABLES_PER_SPACE`` entries. Each table also holds the
+      checkers' memoized scans of it, so they are evicted together.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -278,7 +279,7 @@ class SituationSpace:
         self._strides = strides
         self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
         self._classes: dict[AnonymityVariant, list[tuple[tuple[tuple, tuple[int, ...]], ...]]] = {}
-        self._permuted: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
+        self._permuted: dict[AnonymityVariant, list[tuple[int, ...] | None]] = {}
         self._key_order: list[int] | None = None
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
@@ -391,16 +392,21 @@ class SituationSpace:
                 if perm != peaks:
                     yield key, members, perm, self.with_peaks(sid, members, perm)
 
-    def permuted(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
-        """Per situation, the permuted situations of ``permutations``, in its order."""
+    def permuted(self, variant: AnonymityVariant) -> Iterator[tuple[int, ...]]:
+        """Per situation in id order, the permuted situations of ``permutations``, in its order.
+
+        Each situation's tuple is cached the first time it is read, so a
+        scan that stops early fills only the situations it reached.
+        """
         out = self._permuted.get(variant)
         if out is None:
-            out = []
-            for sid in range(len(self.keys)):
-                found = [other for _, _, _, other in self.permutations(sid, variant)]
-                out.append(tuple(found))
-            self._permuted[variant] = out
-        return out
+            out = self._permuted[variant] = [None] * len(self.keys)
+        for sid, found in enumerate(out):
+            if found is None:
+                # from a list, not a generator: a tuple built from a generator
+                # is over-allocated, then shrunk, which fragments the heap
+                found = out[sid] = tuple([other for _, _, _, other in self.permutations(sid, variant)])
+            yield found
 
     def key_order(self) -> list[int]:
         """Situation ids by ascending key."""
@@ -415,14 +421,14 @@ _SPACES: OrderedDict[tuple, SituationSpace] = OrderedDict()
 def situation_space(instance: Instance, *, budget: int | None = DEFAULT_PROFILE_BUDGET) -> SituationSpace:
     """The shared space of the instance's shape and grid, built on first use.
 
-    A shape is the graph with its voter names; the last ``SPACE_CACHE_SIZE``
-    shapes used are kept. The space numbers every profile, so the profile
-    count is projected against ``budget`` on every call, cached or not, and
-    BudgetExceededError names it before anything is built.
+    A shape is the graph with its voter names (``Instance.shape_key``, which
+    holds the grid too); the last ``SPACE_CACHE_SIZE`` shapes used are kept.
+    The space numbers every profile, so the profile count is projected
+    against ``budget`` on every call, cached or not, and BudgetExceededError
+    names it before anything is built.
     """
     profile_space_size(instance, budget=budget)
-    graph = instance.graph
-    shape = (graph.moderator_children, tuple(sorted(graph.children.items())), instance.grid)
+    shape = instance.shape_key
     space = _SPACES.get(shape)
     if space is None:
         space = _SPACES[shape] = SituationSpace(instance)

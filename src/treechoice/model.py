@@ -8,6 +8,7 @@ appear anywhere. All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -393,6 +394,24 @@ class Instance:
     def report_space_size(self, voter: VoterId, *, diffusion_only: bool = False) -> int:
         """``len(self.report_space(voter, ...))``, without building the reports."""
         return (1 if diffusion_only else len(self.grid)) << len(self.graph.true_children(voter))
+
+    # Computed once per instance and kept outside the fields, so eq and repr
+    # are unchanged; the fields are frozen, so neither can go stale.
+    @functools.cached_property
+    def profile_count(self) -> int:
+        """The number of joint report profiles: the product of the report space sizes."""
+        return math.prod(self.report_space_size(v) for v in self.graph.voters)
+
+    @functools.cached_property
+    def shape_key(self) -> tuple:
+        """What every peak assignment of one tree shape shares: the graph with its voter names, and the grid.
+
+        Grid points appear as (numerator, denominator) pairs, which hash
+        faster than ``Fraction``s and compare equal exactly when they do.
+        """
+        graph = self.graph
+        grid = tuple((q.numerator, q.denominator) for q in self.grid)
+        return (graph.moderator_children, tuple(sorted(graph.children.items())), grid)
 
 
 SituationKey = tuple[tuple[VoterId, Fraction, tuple[VoterId, ...]], ...]

@@ -7,22 +7,36 @@ enumeration order. Pass verdicts for the incentive, efficiency, and anonymity
 checkers are relative to the instance's grid; relevance works the other way
 around (a Pass is witnessed exactly, a Fail means no witness on this grid).
 
-Every checker scans the rule's table on the instance's situation space
-(``rule_table``), which every peak assignment of one tree shape shares, and
-rebuilds profiles only for the witnesses it reports. A rule is evaluated
-only there, on every profile, through a ``PeakBlindInstance`` that hides
-the true peaks; rules that compare equal share one table. The table layer
-projects the profile count against the checker's budget on every read,
-cached or not, and SP and VR project their deviation counts before that.
+Every checker reads the rule's table on the instance's situation space
+(``rule_table``), which every peak assignment of one tree shape shares. A
+rule is evaluated only there, on every profile, through a
+``PeakBlindInstance`` that hides the true peaks; rules that compare equal
+share one table. The table layer projects the profile count against the
+checker's budget on every read, cached or not, and SP and VR project their
+deviation counts before that.
+
+A checker is a fold over scan units, each memoized on the table it scans
+(``RuleTable.scans``) and keyed by exactly what it reads:
+
+- SP and SP-D: per voter, the mode, the ambiguity rule and the index of the
+  voter's truthful report, which fixes its true peak and no other;
+- VR-d: per voter in scope, nothing more, so every level shares the unit;
+- AN, AN-S, AN-D, AN-SD: the variant;
+- PE: the true peaks' grid indices;
+- ONTO and DEPTH1-HULL: nothing more.
+
+A unit holds ints only: counts, positions and indices. Reports, and the
+profiles in witnesses, are rebuilt from them on every call, so what a
+caller receives is its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .enumeration import (
     AnonymityVariant,
@@ -145,11 +159,22 @@ class RuleTable:
     """One rule on one situation space: its outcome in situation ``s`` is ``values[outcomes[s]]``.
 
     ``values`` is the grid, extended in order by any off-grid outcome the
-    rule returns.
+    rule returns. ``scans`` memoizes the checkers' scan units on this table,
+    each keyed by exactly what it reads; a unit is a tuple of ints, never a
+    report or a witness, and is evicted with the table.
     """
 
     values: tuple[Fraction, ...]
     outcomes: tuple[int, ...]
+    scans: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+def _unit(table: RuleTable, key, scan, *args) -> tuple[int, ...]:
+    """``scan(*args)``, computed once per table and key."""
+    unit = table.scans.get(key)
+    if unit is None:
+        unit = table.scans[key] = scan(*args)
+    return unit
 
 
 def rule_table(
@@ -197,6 +222,55 @@ def rule_table(
     return space, table
 
 
+def _first_rejected(
+    space: SituationSpace,
+    outcomes: tuple[int, ...],
+    voter: VoterId,
+    base: int,
+    tried: Sequence[int],
+    accepts: Sequence[int],
+) -> tuple[int, int, int, int, int]:
+    """The scan unit of SP and VR: the voter's first report whose outcome report ``base``'s rejects.
+
+    In each of the voter's deviation groups, in order, the reports ``tried``
+    are compared with report ``base``: outcome ``y`` is accepted against
+    ``x`` when bit ``y`` of ``accepts[x]`` is set. Returns (reports tried up
+    to and including the first rejected one, its group's position, its
+    report index, ``x``, ``y``), or (every report tried, -1, -1, -1, -1).
+    """
+    examined = 0
+    for position, group in space.deviation_groups(voter):
+        x = outcomes[group[base]]
+        allowed = accepts[x]
+        for k, r in enumerate(tried):
+            y = outcomes[group[r]]
+            if not allowed >> y & 1:
+                return examined + k + 1, position, r, x, y
+        examined += len(tried)
+    return examined, -1, -1, -1, -1
+
+
+def _sp_scan(
+    space: SituationSpace,
+    table: RuleTable,
+    model: PreferenceModel,
+    ambiguous_is_violation: bool,
+    voter: VoterId,
+    truth_at: int,
+    block: int,
+) -> tuple[int, int, int, int, int]:
+    """The SP unit of one voter with one true type: the first profitable deviation, if any.
+
+    The deviations tried are the reports in ``truth_at``'s block of ``block``
+    consecutive report indices, other than ``truth_at`` itself.
+    """
+    forward, _ = preference_masks(table.values, model, ambiguous_is_violation)
+    start = truth_at - truth_at % block
+    tried = [r for r in range(start, start + block) if r != truth_at]
+    accepts = forward[table.values.index(space.reports[voter][truth_at].peak)]
+    return _first_rejected(space, table.outcomes, voter, truth_at, tried, accepts)
+
+
 def check_sp(
     scf: SocialChoiceFunction,
     instance: Instance,
@@ -228,37 +302,32 @@ def check_sp(
         raise BudgetExceededError(projected, budget, what="deviation enumeration")
 
     space, table = rule_table(scf, instance, budget=budget)
-    values, outcomes = table.values, table.outcomes
-    forward, _ = preference_masks(values, model, ambiguous_is_violation)
+    values = table.values
     examined = 0
-    for voter in graph.voters:
-        truthful = instance.truthful_report(voter)
-        true_peak = instance.true_peaks[voter]
-        reports = space.reports[voter]
-        truth_at = reports.index(truthful)
-        deviations = [
-            r for r, rep in enumerate(reports) if r != truth_at and (not diffusion or rep.peak == true_peak)
-        ]
-        accepts = forward[values.index(true_peak)]
-        for position, group in space.deviation_groups(voter):
-            allowed = accepts[outcomes[group[truth_at]]]
-            for k, r in enumerate(deviations):
-                if not allowed >> outcomes[group[r]] & 1:
-                    context = space.profile_at(position)
-                    out_truth = values[outcomes[group[truth_at]]]
-                    out_dev = values[outcomes[group[r]]]
-                    witness = {
-                        "voter": voter,
-                        "true_peak": format_rational(true_peak),
-                        "mode": mode,
-                        "truthful_profile": profile_to_json({**context, voter: truthful}),
-                        "deviation_profile": profile_to_json({**context, voter: reports[r]}),
-                        "truthful_outcome": format_rational(out_truth),
-                        "deviation_outcome": format_rational(out_dev),
-                        "preference_verdict": compare(true_peak, out_truth, out_dev, model).value,
-                    }
-                    return CheckReport(prop, "Fail", witness, examined + k + 1, EXACT_ON_GRID)
-            examined += len(deviations)
+    for k, voter in enumerate(graph.voters):
+        n = space.invitations[k]
+        truth_at = instance.grid.index(instance.true_peaks[voter]) * n + n - 1  # every child invited
+        block = n if diffusion else len(space.reports[voter])  # diffusion keeps the true peak
+        key = (prop, ambiguous_is_violation, voter, truth_at)
+        count, position, r, x, y = _unit(
+            table, key, _sp_scan, space, table, model, ambiguous_is_violation, voter, truth_at, block
+        )
+        examined += count
+        if position >= 0:
+            context = space.profile_at(position)
+            reports = space.reports[voter]
+            true_peak = reports[truth_at].peak
+            witness = {
+                "voter": voter,
+                "true_peak": format_rational(true_peak),
+                "mode": mode,
+                "truthful_profile": profile_to_json({**context, voter: reports[truth_at]}),
+                "deviation_profile": profile_to_json({**context, voter: reports[r]}),
+                "truthful_outcome": format_rational(values[x]),
+                "deviation_outcome": format_rational(values[y]),
+                "preference_verdict": compare(true_peak, values[x], values[y], model).value,
+            }
+            return CheckReport(prop, "Fail", witness, examined, EXACT_ON_GRID)
     return CheckReport(prop, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
 
 
@@ -279,21 +348,33 @@ def check_pareto(
     """
     space, table = rule_table(scf, instance, budget=budget)
     grid, voters = instance.grid, instance.graph.voters
-    truthful = space.positions_with_peaks([grid.index(instance.true_peaks[v]) for v in voters])
+    peaks = tuple(grid.index(instance.true_peaks[v]) for v in voters)
+    examined, position = _unit(table, ("PE", peaks), _pe_scan, space, table, grid, peaks)
+    if position < 0:
+        return CheckReport("PE", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+    sid = space.profile_sids[position]
+    members = space.participants(sid)
+    lo, hi = space.hull(sid, members)
+    witness = {
+        "profile": profile_to_json(space.profile_at(position)),
+        "participating": [voters[k] for k in members],
+        "hull": [format_rational(grid[lo]), format_rational(grid[hi])],
+        "outcome": format_rational(table.values[table.outcomes[sid]]),
+    }
+    return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
+
+
+def _pe_scan(
+    space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...], peaks: tuple[int, ...]
+) -> tuple[int, int]:
+    """The PE unit of one true-peak assignment: (profiles examined, first failing position or -1)."""
+    truthful = space.positions_with_peaks(peaks)
     for examined, position in enumerate(truthful, 1):
         sid = space.profile_sids[position]
-        members = space.participants(sid)
-        lo, hi = space.hull(sid, members)
-        out = table.values[table.outcomes[sid]]
-        if not grid[lo] <= out <= grid[hi]:
-            witness = {
-                "profile": profile_to_json(space.profile_at(position)),
-                "participating": [voters[k] for k in members],
-                "hull": [format_rational(grid[lo]), format_rational(grid[hi])],
-                "outcome": format_rational(out),
-            }
-            return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
-    return CheckReport("PE", "Pass", None, len(truthful), PASS_IS_GRID_RELATIVE)
+        lo, hi = space.hull(sid, space.participants(sid))
+        if not grid[lo] <= table.values[table.outcomes[sid]] <= grid[hi]:
+            return examined, position
+    return len(truthful), -1
 
 
 def find_dominating_point(
@@ -337,13 +418,22 @@ def check_ontoness(
     so that profile is where the situation that hits it first appears.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    wanted = set(instance.grid)
+    grid = instance.grid
+    examined, *unhit = _unit(table, "ONTO", _onto_scan, space, table, grid)
+    if not unhit:
+        return CheckReport("ONTO", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
+    witness = {"unhit": [format_rational(grid[i]) for i in unhit]}
+    return CheckReport("ONTO", "Fail", witness, examined, EXACT_ON_GRID)
+
+
+def _onto_scan(space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The ONTO unit: (profiles examined, then the grid indices no situation hits, ascending)."""
+    wanted = set(grid)
     for sid, k in enumerate(table.outcomes):
         wanted.discard(table.values[k])
         if not wanted:
-            return CheckReport("ONTO", "Pass", None, space.profile_sids.index(sid) + 1, PASS_IS_GRID_RELATIVE)
-    witness = {"unhit": [format_rational(q) for q in sorted(wanted)]}
-    return CheckReport("ONTO", "Fail", witness, len(space.profile_sids), EXACT_ON_GRID)
+            return (space.profile_sids.index(sid) + 1,)
+    return (len(space.profile_sids), *sorted(grid.index(q) for q in wanted))
 
 
 def check_anonymity(
@@ -362,27 +452,39 @@ def check_anonymity(
     appears.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    outcomes = table.outcomes
+    position, sid, k = _unit(table, variant, _an_scan, space, table.outcomes, variant)
+    if position < 0:
+        return CheckReport(variant.value, "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
+    profile = space.profile_at(position)
+    key, members, peaks, other = next(itertools.islice(space.permutations(sid, variant), k, None))
+    names = [instance.graph.voters[m] for m in members]
+    permuted_profile = dict(profile)
+    for v, peak in zip(names, peaks):
+        permuted_profile[v] = ReportedType(instance.grid[peak], profile[v].invited)
+    witness = {
+        "profile": profile_to_json(profile),
+        "permuted_profile": profile_to_json(permuted_profile),
+        "class_key": list(key),
+        "class_members": names,
+        "outcome": format_rational(table.values[table.outcomes[sid]]),
+        "permuted_outcome": format_rational(table.values[table.outcomes[other]]),
+    }
+    return CheckReport(variant.value, "Fail", witness, position + 1, EXACT_ON_GRID)
+
+
+def _an_scan(
+    space: SituationSpace, outcomes: tuple[int, ...], variant: AnonymityVariant
+) -> tuple[int, int, int]:
+    """The AN unit of one variant: the first situation a peak permutation moves, or -1s.
+
+    Returns (the position where that situation first appears, the
+    situation, the permutation's index in ``space.permutations``).
+    """
     for sid, others in enumerate(space.permuted(variant)):
         for k, other in enumerate(others):
             if outcomes[other] != outcomes[sid]:
-                position = space.profile_sids.index(sid)
-                profile = space.profile_at(position)
-                key, members, peaks, _ = next(itertools.islice(space.permutations(sid, variant), k, None))
-                names = [instance.graph.voters[m] for m in members]
-                permuted_profile = dict(profile)
-                for v, peak in zip(names, peaks):
-                    permuted_profile[v] = ReportedType(instance.grid[peak], profile[v].invited)
-                witness = {
-                    "profile": profile_to_json(profile),
-                    "permuted_profile": profile_to_json(permuted_profile),
-                    "class_key": list(key),
-                    "class_members": names,
-                    "outcome": format_rational(table.values[outcomes[sid]]),
-                    "permuted_outcome": format_rational(table.values[outcomes[other]]),
-                }
-                return CheckReport(variant.value, "Fail", witness, position + 1, EXACT_ON_GRID)
-    return CheckReport(variant.value, "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
+                return space.profile_sids.index(sid), sid, k
+    return -1, -1, -1
 
 
 def check_voter_relevance(
@@ -416,16 +518,11 @@ def check_voter_relevance(
     witnesses: dict[VoterId, dict] = {}
     if scope:
         space, table = rule_table(scf, instance, budget=budget)
-        outcomes = table.outcomes
+        values = table.values
     for voter in scope:
-        for position, group in space.deviation_groups(voter):
-            first = outcomes[group[0]]
-            r = next((r for r, sid in enumerate(group) if outcomes[sid] != first), None)
-            if r is not None:
-                examined += r + 1
-                break
-            examined += len(group)
-        else:
+        count, position, r, a, b = _unit(table, ("VR", voter), _vr_scan, space, table, voter)
+        examined += count
+        if position < 0:
             witness = {
                 "voter": voter,
                 "types": grid_types,
@@ -438,10 +535,16 @@ def check_voter_relevance(
             "others": profile_to_json({u: rep for u, rep in space.profile_at(position).items() if u != voter}),
             "report_a": profile_to_json({voter: reports[0]})[voter],
             "report_b": profile_to_json({voter: reports[r]})[voter],
-            "outcome_a": format_rational(table.values[first]),
-            "outcome_b": format_rational(table.values[outcomes[group[r]]]),
+            "outcome_a": format_rational(values[a]),
+            "outcome_b": format_rational(values[b]),
         }
     return CheckReport(prop, "Pass", {"voters": witnesses}, examined, EXACT_ON_GRID)
+
+
+def _vr_scan(space: SituationSpace, table: RuleTable, voter: VoterId) -> tuple[int, int, int, int, int]:
+    """The VR unit of one voter, shared by every VR level: two of its reports with different outcomes."""
+    equal = [1 << x for x in range(len(table.values))]
+    return _first_rejected(space, table.outcomes, voter, 0, range(len(space.reports[voter])), equal)
 
 
 def check_depth1_hull(
@@ -459,18 +562,28 @@ def check_depth1_hull(
     space, table = rule_table(scf, instance, budget=budget)
     grid = instance.grid
     direct = [k for k, v in enumerate(instance.graph.voters) if v in instance.graph.moderator_children]
+    (position,) = _unit(table, "DEPTH1-HULL", _depth1_scan, space, table, grid, direct)
+    if position < 0:
+        return CheckReport("DEPTH1-HULL", "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
+    sid = space.profile_sids[position]
+    lo, hi = space.hull(sid, direct)
+    witness = {
+        "profile": profile_to_json(space.profile_at(position)),
+        "depth1_hull": [format_rational(grid[lo]), format_rational(grid[hi])],
+        "outcome": format_rational(table.values[table.outcomes[sid]]),
+    }
+    return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
+
+
+def _depth1_scan(
+    space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...], direct: list[int]
+) -> tuple[int]:
+    """The DEPTH1-HULL unit: the first position outside the direct children's hull, or -1."""
     for sid, k in enumerate(table.outcomes):
         lo, hi = space.hull(sid, direct)
-        out = table.values[k]
-        if not grid[lo] <= out <= grid[hi]:
-            position = space.profile_sids.index(sid)
-            witness = {
-                "profile": profile_to_json(space.profile_at(position)),
-                "depth1_hull": [format_rational(grid[lo]), format_rational(grid[hi])],
-                "outcome": format_rational(out),
-            }
-            return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
-    return CheckReport("DEPTH1-HULL", "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
+        if not grid[lo] <= table.values[k] <= grid[hi]:
+            return (space.profile_sids.index(sid),)
+    return (-1,)
 
 
 def run_check(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -97,7 +98,7 @@ def test_permutations_follow_the_dict_streams():
         for position, sid in enumerate(space.profile_sids):
             first.setdefault(sid, position)
         for variant in AnonymityVariant:
-            permuted = space.permuted(variant)
+            permuted = list(space.permuted(variant))
             for sid in range(len(space.keys)):
                 profile = space.profile_at(first[sid])
                 expected = [
@@ -153,6 +154,71 @@ def test_table_checkers_match_reference_loops():
     ]
     assert len(instances) == 258
     assert mismatches == []
+
+
+def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
+    # SP reads only the manipulator's true peak, VR and AN no true peak at all,
+    # so sweeping every peak assignment of one shape scans each table at most
+    # once per voter and grid point for SP, once per voter for VR, and once
+    # per variant for AN
+    graph = InvitationGraph(frozenset(["a", "b"]), {"a": frozenset(["c"])})
+    instances = instances_for(graph, GRID3)
+    rules = [parse_scf(name) for name in RULES]  # one table each, none evicted
+    sweeps = {
+        "SP": lambda m, rule, inst: [m.check_sp(rule, inst, mode) for mode in ("full", "diffusion_only")],
+        "VR": lambda m, rule, inst: [m.check_voter_relevance(rule, inst, d) for d in range(4)],
+        "AN": lambda m, rule, inst: [m.check_anonymity(rule, inst, variant) for variant in AnonymityVariant],
+    }
+    expected = {
+        (name, k, rule.name): [report.to_json() for report in run(reference, rule, inst)]
+        for name, run in sweeps.items()
+        for k, inst in enumerate(instances)
+        for rule in rules
+    }
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    reads = {"deviation_groups": 0, "permuted": 0}
+    for method in reads:
+        def counted(self, *args, _read=getattr(SituationSpace, method), _name=method):
+            reads[_name] += 1
+            return _read(self, *args)
+
+        monkeypatch.setattr(SituationSpace, method, counted)
+    counts = {}
+    for name, run in sweeps.items():
+        before = dict(reads)
+        for k, inst in enumerate(instances):
+            for rule in rules:
+                got = [report.to_json() for report in run(properties, rule, inst)]
+                assert got == expected[(name, k, rule.name)], (name, inst.true_peaks, rule.name)
+        counts[name] = {method: reads[method] - before[method] for method in reads}
+    voters, points, tables = len(graph.voters), len(GRID3), len(rules)
+    assert len(instances) == 27
+    assert 0 < counts["SP"]["deviation_groups"] <= 2 * voters * points * tables  # two SP modes
+    assert 0 < counts["VR"]["deviation_groups"] <= voters * tables
+    assert counts["AN"] == {"deviation_groups": 0, "permuted": len(AnonymityVariant) * tables}
+
+
+def test_witnesses_are_built_fresh_on_every_call():
+    # the memo keeps positions, not witnesses: a caller that edits a witness
+    # it was given changes nothing a later call reports
+    inst = make_fig2()
+    calls = [
+        lambda: check_sp(parse_scf("participant-median"), inst),
+        lambda: check_voter_relevance(DirectChildrenMedian(), inst, 1),
+    ]
+    first = [call() for call in calls]
+    assert [report.verdict for report in first] == ["Fail", "Pass"]
+    for report in first:
+        witness = report.witness
+        nested = next(value for value in witness.values() if isinstance(value, dict))
+        nested.clear()
+        witness["edited"] = True
+        report.profiles_examined = -1
+    again = [call().to_json() for call in calls]
+    enumeration._SPACES.clear()
+    cold = [call().to_json() for call in calls]
+    assert again == cold
+    assert all("edited" not in doc["witness"] and doc["profiles_examined"] > 0 for doc in again)
 
 
 class _TruePeakReader(SocialChoiceFunction):
