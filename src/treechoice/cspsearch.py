@@ -271,6 +271,10 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
         if voter in vr_scope:
             vr_constraints.append(VrConstraint(voter, tuple(groups)))
 
+    # the dict goes before the tuple is built, so at most two copies of the
+    # triples are held at once
+    sp_triples = sorted(sp_constraints)
+    del sp_constraints
     return Csp(
         instance=instance,
         properties=props,
@@ -278,7 +282,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
         keys=tuple(space.keys[sid] for sid in order),
         domains=domains,
         equalities=tuple(sorted(equalities)),
-        sp_constraints=tuple(sorted(sp_constraints)),
+        sp_constraints=tuple(sp_triples),
         vr_constraints=tuple(vr_constraints),
     )
 

@@ -208,9 +208,16 @@ class SituationSpace:
     - ``permutations(s, variant)`` yields the peak permutations within the
       classes of situation ``s`` in ``check_anonymity``'s order, each as
       (class key, member indices, permuted peak grid indices, permuted
-      situation); the check scans them, and rebuilds its witness from one.
-      ``permuted(variant)`` yields the permuted situations of each
-      situation, in the same order, and caches each as it is first read.
+      situation); the check walks it from the first failing situation only,
+      to find the permutation its witness cites.
+    - ``orbits(variant)`` lists every orbit of two or more situations, the
+      situations that permuting one class's peaks reaches from each other,
+      as ascending tuples ordered by least member; the check reads each
+      orbit once.
+    - ``starts[s]`` is the position where situation ``s`` first appears in
+      ``enumerate_profiles``, the profile where every voter not taking part
+      reports its first report; ``with_peaks`` moves from it by one stride
+      per moved peak.
     - ``hull(s, members)`` is the grid-index range of the peaks the voters
       ``members`` report in situation ``s``; the PE and depth-1 checks and
       the search encoder all read hulls from it.
@@ -271,15 +278,18 @@ class SituationSpace:
                 sids[p] = sid
 
         self.digits: list[tuple[int, ...]] = [digits for _, _, digits in leaves]
+        self.starts: list[int] = [start for _, start, _ in leaves]
+        # from lists, not generators: a tuple built from a generator is
+        # over-allocated, then shrunk, which fragments the heap
         self.keys: tuple[SituationKey, ...] = tuple(
-            tuple(entries[k][r] for k, r in enumerate(digits) if r >= 0) for digits in self.digits
+            [tuple([entries[k][r] for k, r in enumerate(digits) if r >= 0]) for digits in self.digits]
         )
         self.profile_sids = sids
         self.tables: OrderedDict = OrderedDict()
         self._strides = strides
         self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
         self._classes: dict[AnonymityVariant, list[tuple[tuple[tuple, tuple[int, ...]], ...]]] = {}
-        self._permuted: dict[AnonymityVariant, list[tuple[int, ...] | None]] = {}
+        self._orbits: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
         self._key_order: list[int] | None = None
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
@@ -341,14 +351,14 @@ class SituationSpace:
     def with_peaks(self, sid: int, members: Sequence[int], peaks: Sequence[int]) -> int:
         """Situation ``sid`` with voters ``members`` reporting peaks ``peaks`` instead.
 
-        Invitations stay put, so the same voters take part.
+        Invitations stay put, so the same voters take part, and only the
+        peak part of each member's digit moves.
         """
-        digits = list(self.digits[sid])
+        digits, position = self.digits[sid], self.starts[sid]
         for k, peak in zip(members, peaks):
             n = self.invitations[k]
-            digits[k] = peak * n + digits[k] % n
-        # the profile where every voter not taking part reports its first report
-        return self.profile_sids[sum(r * stride for r, stride in zip(digits, self._strides) if r > 0)]
+            position += (peak - digits[k] // n) * n * self._strides[k]
+        return self.profile_sids[position]
 
     def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
         """Per situation, its ``permutation_classes`` of two or more voters, as (key, voter indices).
@@ -392,21 +402,35 @@ class SituationSpace:
                 if perm != peaks:
                     yield key, members, perm, self.with_peaks(sid, members, perm)
 
-    def permuted(self, variant: AnonymityVariant) -> Iterator[tuple[int, ...]]:
-        """Per situation in id order, the permuted situations of ``permutations``, in its order.
+    def orbits(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
+        """Every class orbit of two or more situations, ordered by least member.
 
-        Each situation's tuple is cached the first time it is read, so a
-        scan that stops early fills only the situations it reached.
+        The orbit of a situation and one of its classes holds the situations
+        reached by permuting that class's peaks, ascending. Its members share
+        their classes, since invitations stay put, so a situation has a
+        permutation that moves the outcome exactly when one of its orbits is
+        not constant. Situations are walked in id order, so each orbit is
+        found from its least member and the list comes ordered by it.
         """
-        out = self._permuted.get(variant)
+        out = self._orbits.get(variant)
         if out is None:
-            out = self._permuted[variant] = [None] * len(self.keys)
-        for sid, found in enumerate(out):
-            if found is None:
-                # from a list, not a generator: a tuple built from a generator
-                # is over-allocated, then shrunk, which fragments the heap
-                found = out[sid] = tuple([other for _, _, _, other in self.permutations(sid, variant)])
-            yield found
+            classes = self.classes(variant)
+            covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
+            out = []
+            for sid, own in enumerate(classes):
+                for c, (_, members) in enumerate(own):
+                    if covered[sid] >> c & 1:
+                        continue
+                    peaks = self.peaks(sid, members)
+                    if min(peaks) == max(peaks):  # the orbit is the situation alone
+                        continue
+                    perms = set(itertools.permutations(peaks))
+                    orbit = sorted([self.with_peaks(sid, members, perm) for perm in perms])
+                    for other in orbit:
+                        covered[other] |= 1 << c
+                    out.append(tuple(orbit))
+            self._orbits[variant] = out
+        return out
 
     def key_order(self) -> list[int]:
         """Situation ids by ascending key."""

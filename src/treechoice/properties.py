@@ -432,7 +432,7 @@ def _onto_scan(space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ..
     for sid, k in enumerate(table.outcomes):
         wanted.discard(table.values[k])
         if not wanted:
-            return (space.profile_sids.index(sid) + 1,)
+            return (space.starts[sid] + 1,)
     return (len(space.profile_sids), *sorted(grid.index(q) for q in wanted))
 
 
@@ -477,13 +477,18 @@ def _an_scan(
 ) -> tuple[int, int, int]:
     """The AN unit of one variant: the first situation a peak permutation moves, or -1s.
 
-    Returns (the position where that situation first appears, the
-    situation, the permutation's index in ``space.permutations``).
+    That situation is the least member of the first orbit on which the
+    outcome is not constant. Returns (the position where it first appears,
+    the situation, the index in ``space.permutations`` of its first
+    permutation that moves the outcome).
     """
-    for sid, others in enumerate(space.permuted(variant)):
-        for k, other in enumerate(others):
-            if outcomes[other] != outcomes[sid]:
-                return space.profile_sids.index(sid), sid, k
+    for orbit in space.orbits(variant):
+        sid = orbit[0]
+        base = outcomes[sid]
+        if any(outcomes[other] != base for other in orbit):
+            for k, (_, _, _, other) in enumerate(space.permutations(sid, variant)):
+                if outcomes[other] != base:
+                    return space.starts[sid], sid, k
     return -1, -1, -1
 
 
@@ -582,7 +587,7 @@ def _depth1_scan(
     for sid, k in enumerate(table.outcomes):
         lo, hi = space.hull(sid, direct)
         if not grid[lo] <= table.values[k] <= grid[hi]:
-            return (space.profile_sids.index(sid),)
+            return (space.starts[sid],)
     return (-1,)
 
 

@@ -19,8 +19,10 @@ from treechoice import (
     DirectChildrenMedian,
     Instance,
     InvitationGraph,
+    ParticipantMedian,
     PreferenceModel,
     SocialChoiceFunction,
+    TabulatedScf,
     check_anonymity,
     check_depth1_hull,
     check_ontoness,
@@ -36,7 +38,7 @@ from treechoice import (
 )
 from treechoice.enumeration import SPACE_CACHE_SIZE, SituationSpace, situation_space
 from treechoice.fileio import make_chain, make_fig2, uniform_grid
-from conftest import instances_for, make_deep_demo, space_never_built, tree_shapes
+from conftest import graph_from_parents, instances_for, make_deep_demo, space_never_built, tree_shapes
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -97,8 +99,10 @@ def test_permutations_follow_the_dict_streams():
         first: dict[int, int] = {}
         for position, sid in enumerate(space.profile_sids):
             first.setdefault(sid, position)
+        assert space.starts == [first[sid] for sid in range(len(space.keys))]
         for variant in AnonymityVariant:
-            permuted = list(space.permuted(variant))
+            orbits = space.orbits(variant)
+            moved = set()
             for sid in range(len(space.keys)):
                 profile = space.profile_at(first[sid])
                 expected = [
@@ -113,8 +117,41 @@ def test_permutations_follow_the_dict_streams():
                     for key, members, _, other in space.permutations(sid, variant)
                 ]
                 assert stream == expected
-                assert permuted[sid] == tuple(other for _, _, other in expected)
+                if stream:
+                    moved.add(sid)
+            for orbit in orbits:
+                # one class's permutations from the least member reach the orbit
+                profile = space.profile_at(first[orbit[0]])
+                reached = [
+                    {sid_of[situation_key(inst.graph, other)] for other in peak_permutations(profile, cls)}
+                    for cls in permutation_classes(inst.graph, profile, variant)
+                ]
+                assert list(orbit) == sorted(orbit) and set(orbit) in reached
+            assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+            assert set().union(*orbits) == moved
     assert len(shapes) == 16
+
+
+def test_anonymity_fails_first_where_the_reference_does():
+    # a fully anonymous table with one situation's outcome changed fails AN*
+    # on the whole orbit of that situation, so the first failure is often an
+    # earlier situation than the changed one; classes of 3 and 4 members
+    # (here, a invites c and d) are beyond the differential test's 3 voters
+    four = Instance(graph_from_parents((-1, -1, 0, 0)), {v: GRID3[0] for v in "abcd"}, GRID3)
+    fig2 = make_fig2()
+    verdicts, changes = set(), []
+    for inst, changed in ((four, slice(3, None, 7)), (fig2, slice(167, None, 900))):
+        table = tabulate_scf(inst, ParticipantMedian())
+        keys = list(table)[changed]
+        changes.append(len(keys))
+        for key in keys:
+            rule = TabulatedScf({**table, key: inst.grid[0] if table[key] != inst.grid[0] else inst.grid[-1]})
+            for variant in AnonymityVariant:
+                got = check_anonymity(rule, inst, variant).to_json()
+                assert got == reference.check_anonymity(rule, inst, variant).to_json(), (key, variant)
+                verdicts.add((inst is fig2, got["verdict"]))
+    assert changes == [21, 2]
+    assert verdicts == {(False, "Pass"), (False, "Fail"), (True, "Pass"), (True, "Fail")}
 
 
 class _ReflectedLastPeak(SocialChoiceFunction):
@@ -159,8 +196,8 @@ def test_table_checkers_match_reference_loops():
 def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     # SP reads only the manipulator's true peak, VR and AN no true peak at all,
     # so sweeping every peak assignment of one shape scans each table at most
-    # once per voter and grid point for SP, once per voter for VR, and once
-    # per variant for AN
+    # once per voter and grid point for SP, once per voter for VR, and reads
+    # the orbits once per variant for AN
     graph = InvitationGraph(frozenset(["a", "b"]), {"a": frozenset(["c"])})
     instances = instances_for(graph, GRID3)
     rules = [parse_scf(name) for name in RULES]  # one table each, none evicted
@@ -176,7 +213,7 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
         for rule in rules
     }
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    reads = {"deviation_groups": 0, "permuted": 0}
+    reads = {"deviation_groups": 0, "orbits": 0}
     for method in reads:
         def counted(self, *args, _read=getattr(SituationSpace, method), _name=method):
             reads[_name] += 1
@@ -195,7 +232,7 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     assert len(instances) == 27
     assert 0 < counts["SP"]["deviation_groups"] <= 2 * voters * points * tables  # two SP modes
     assert 0 < counts["VR"]["deviation_groups"] <= voters * tables
-    assert counts["AN"] == {"deviation_groups": 0, "permuted": len(AnonymityVariant) * tables}
+    assert counts["AN"] == {"deviation_groups": 0, "orbits": len(AnonymityVariant) * tables}
 
 
 def test_witnesses_are_built_fresh_on_every_call():
