@@ -569,9 +569,10 @@ def tabulate_scf(instance: Instance, scf: SocialChoiceFunction) -> dict[Situatio
     """Restrict a functional rule to this instance as an explicit table.
 
     This reads the checkers' table (``properties.rule_table``): the rule is
-    evaluated on every profile, so a rule whose outcome depends on more than
-    the observable situation (say, on a non-participant's report, or on a
-    true peak) raises ConfigurationError.
+    evaluated once per situation, and on every profile of a situation where
+    it read a non-participant's report, so a rule whose outcome depends on
+    more than the observable situation (say, on a non-participant's report,
+    or on a true peak) raises ConfigurationError.
     """
     space, table = rule_table(scf, instance)
     return {key: table.values[k] for key, k in zip(space.keys, table.outcomes)}

@@ -9,11 +9,12 @@ around (a Pass is witnessed exactly, a Fail means no witness on this grid).
 
 Every checker reads the rule's table on the instance's situation space
 (``rule_table``), which every peak assignment of one tree shape shares. A
-rule is evaluated only there, on every profile, through a
-``PeakBlindInstance`` that hides the true peaks; rules that compare equal
-share one table. The table layer projects the profile count against the
-checker's budget on every read, cached or not, and SP and VR project their
-deviation counts before that.
+rule is evaluated only there, through a ``PeakBlindInstance`` that hides
+the true peaks: once per situation, on its first profile, and on every
+other profile of a situation where that evaluation read a non-participant's
+report. Rules that compare equal share one table. The table layer projects
+the profile count against the checker's budget on every read, cached or
+not, and SP and VR project their deviation counts before that.
 
 A checker is a fold over scan units, each memoized on the table it scans
 (``RuleTable.scans``) and keyed by exactly what it reads:
@@ -34,9 +35,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .enumeration import (
     AnonymityVariant,
@@ -44,7 +45,6 @@ from .enumeration import (
     TABLES_PER_SPACE,
     SituationSpace,
     deviation_space_size,
-    enumerate_profiles,
     situation_space,
 )
 from .model import (
@@ -154,6 +154,45 @@ class PeakBlindInstance:
         )
 
 
+class _WatchedProfile(Mapping):
+    """A situation's first profile as a rule reads it, noting a read of a non-participant's report.
+
+    ``rows[voter]`` is the voter's index and report space, and ``digits``
+    the situation's report indices; a voter not taking part reports its
+    first report here. Iterating the view, ``len`` and ``in`` read only the
+    voters, whom every profile lists. Every other read goes through
+    ``__getitem__`` (``get``, ``items``, ``values``, ``==`` and ``dict``
+    among them), which sets ``strayed[0]`` when the voter does not take
+    part; a copy shares the list. A rule that never strays reads the same
+    reports on every profile of the situation, so, being deterministic, it
+    gives the same outcome on each.
+    """
+
+    __slots__ = ("_rows", "_digits", "strayed")
+
+    def __init__(self, rows: dict, digits: tuple[int, ...]) -> None:
+        self._rows = rows
+        self._digits = digits
+        self.strayed = [False]
+
+    def __getitem__(self, voter):
+        k, reports = self._rows[voter]
+        r = self._digits[k]
+        if r < 0:
+            self.strayed[0] = True
+            r = 0
+        return reports[r]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __contains__(self, voter):
+        return voter in self._rows
+
+
 @dataclass(frozen=True)
 class RuleTable:
     """One rule on one situation space: its outcome in situation ``s`` is ``values[outcomes[s]]``.
@@ -187,9 +226,14 @@ def rule_table(
 
     Tables are keyed by the rule and the preference model, so rules that
     compare equal share one. ``budget`` bounds the profile count, as in
-    ``situation_space``. Tabulation evaluates the rule on every profile,
-    through a ``PeakBlindInstance``, and raises ConfigurationError naming
-    two profiles when one situation gets two outcomes.
+    ``situation_space``. Tabulation walks the profiles in order and shows
+    the rule a ``PeakBlindInstance``. It evaluates the rule once per
+    situation, where the situation first appears, on a ``_WatchedProfile``.
+    Where that evaluation read a non-participant's report, it evaluates the
+    rule on every later profile of the situation too, and raises
+    ConfigurationError naming two profiles when they give two outcomes. For
+    a deterministic rule that is the table, and the error, that evaluating
+    every profile gives.
     """
     space = situation_space(instance, budget=budget)
     key = (scf, instance.preference_model)
@@ -198,19 +242,24 @@ def rule_table(
         space.tables.move_to_end(key)
         return space, table
     view = PeakBlindInstance(instance, scf.name)
-    first: dict[int, tuple[Fraction, int]] = {}
-    profiles = enumerate_profiles(instance, budget=None)
-    for position, (sid, profile) in enumerate(zip(space.profile_sids, profiles)):
-        out = scf.outcome(view, profile)
-        seen, seen_at = first.setdefault(sid, (out, position))
-        if seen != out:
-            seen_profile = space.profile_at(seen_at)
-            raise ConfigurationError(
-                f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
-                f"{profile_to_json(seen_profile)} and {profile_to_json(profile)} share one situation "
-                f"but give {format_rational(seen)} and {format_rational(out)}"
-            )
-    outs = [first[sid][0] for sid in range(len(space.keys))]
+    rows = {v: (k, space.reports[v]) for k, v in enumerate(instance.graph.voters)}
+    outs: list[Fraction] = []
+    strayed = set()  # situations whose first evaluation read a non-participant's report
+    for position, sid in enumerate(space.profile_sids):
+        if sid == len(outs):  # the situation's first profile
+            watched = _WatchedProfile(rows, space.digits[sid])
+            outs.append(scf.outcome(view, watched))
+            if watched.strayed[0]:
+                strayed.add(sid)
+        elif sid in strayed:
+            profile = space.profile_at(position)
+            out = scf.outcome(view, profile)
+            if out != outs[sid]:
+                raise ConfigurationError(
+                    f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
+                    f"{profile_to_json(space.profile_at(space.starts[sid]))} and {profile_to_json(profile)} "
+                    f"share one situation but give {format_rational(outs[sid])} and {format_rational(out)}"
+                )
     values = instance.grid
     if not set(outs) <= set(values):
         values = tuple(sorted(set(values).union(outs)))
@@ -601,12 +650,9 @@ def run_check(
 ) -> CheckReport:
     """Dispatch a property token (see ``parse_property``) to its checker."""
     token = parse_property(prop)
-    if token == "SP":
-        return check_sp(scf, instance, "full", ambiguous_is_violation=ambiguous_is_violation, budget=budget)
-    if token == "SP-D":
-        return check_sp(
-            scf, instance, "diffusion_only", ambiguous_is_violation=ambiguous_is_violation, budget=budget
-        )
+    if token in ("SP", "SP-D"):
+        mode = "full" if token == "SP" else "diffusion_only"
+        return check_sp(scf, instance, mode, ambiguous_is_violation=ambiguous_is_violation, budget=budget)
     if token == "PE":
         return check_pareto(scf, instance, budget=budget)
     if token == "ONTO":

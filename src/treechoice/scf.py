@@ -2,8 +2,10 @@
 
 Each rule is a deterministic, stateless map from (instance, reports) to a
 point in [0, 1] and may only look at participating voters' reported peaks
-and reported invitations. All rules return grid points whenever their
-parameters lie on the grid.
+and reported invitations. ``reports`` is a read-only ``Mapping`` from every
+voter to its report, not always a ``dict``: the checkers' tabulation passes
+a view that notes which reports the rule reads. All rules return grid
+points whenever their parameters lie on the grid.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ checkers in ``treechoice.properties`` replaced.
 same report JSON, byte for byte. ``truthful_peak_profiles`` is the
 enumeration the efficiency loop scans.
 ``situation_numbering`` is the same kind of oracle for the situation
-space's constructor.
+space's constructor, and ``tabulate`` for ``properties.rule_table``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from treechoice.enumeration import (
 )
 from treechoice.model import (
     BudgetExceededError,
+    ConfigurationError,
     Instance,
     PreferenceModel,
     PreferenceVerdict,
@@ -57,6 +58,31 @@ def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], l
         for profile in enumerate_profiles(instance, budget=None)
     ]
     return tuple(index), sids
+
+
+def tabulate(scf: SocialChoiceFunction, instance: Instance) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """A rule table as ``properties.rule_table`` gives it, from one evaluation per profile.
+
+    Situations are numbered by first appearance and the first profile's
+    outcome stands for its situation; a later profile of the same situation
+    with another outcome raises ConfigurationError naming both profiles.
+    Returns the values (the grid, extended in order by any off-grid
+    outcome) and each situation's index into them.
+    """
+    view = PeakBlindInstance(instance, scf.name)
+    first: dict[SituationKey, tuple[Fraction, dict]] = {}
+    for profile in enumerate_profiles(instance, budget=None):
+        out = scf.outcome(view, profile)
+        seen, seen_profile = first.setdefault(situation_key(instance.graph, profile), (out, profile))
+        if seen != out:
+            raise ConfigurationError(
+                f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
+                f"{profile_to_json(seen_profile)} and {profile_to_json(profile)} share one situation "
+                f"but give {format_rational(seen)} and {format_rational(out)}"
+            )
+    outs = [out for out, _ in first.values()]
+    values = tuple(sorted(set(instance.grid).union(outs)))
+    return values, tuple(values.index(out) for out in outs)
 
 
 def truthful_peak_profiles(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from collections import OrderedDict
@@ -16,7 +17,9 @@ from treechoice import (
     AnonymityVariant,
     BudgetExceededError,
     ConfigurationError,
+    DepthWeightedMedian,
     DirectChildrenMedian,
+    FixedOutcome,
     Instance,
     InvitationGraph,
     ParticipantMedian,
@@ -321,6 +324,155 @@ def test_hull_and_onto_checks_evaluate_the_rule_on_every_profile(check, rule, er
     # each reads the rule table, which holds the rule's outcome on every profile
     with pytest.raises(error, match=match):
         check(rule, make_chain(2, 3))
+
+
+def _values_and_outcomes(rule, inst):
+    table = properties.rule_table(rule, inst)[1]
+    return table.values, table.outcomes
+
+
+@pytest.mark.parametrize("inst", [make_fig2(), make_chain(3, 3)], ids=["fig2", "chain-3"])
+@pytest.mark.parametrize(
+    "rule", [FixedOutcome(F(1, 2)), DirectChildrenMedian(), DepthWeightedMedian(), ParticipantMedian()]
+)
+def test_bundled_rules_are_evaluated_once_per_situation(inst, rule, monkeypatch):
+    # a bundled rule reads only participants, so each situation is decided
+    # on its first profile and no other profile is evaluated
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    calls = []
+    evaluate = type(rule).outcome
+
+    def counted(self, instance, reports):
+        calls.append(None)
+        return evaluate(self, instance, reports)
+
+    monkeypatch.setattr(type(rule), "outcome", counted)
+    space, table = properties.rule_table(rule, inst)
+    assert len(calls) == len(space.keys) == len(table.outcomes) < len(space.profile_sids)
+
+
+class _ReadsEveryVoter(SocialChoiceFunction):
+    """The direct-children median, after one read of every voter's report through ``read``.
+
+    It reads non-participants' reports but ignores them, so its table is the
+    median's. It counts its evaluations.
+    """
+
+    name = "reads-every-voter"
+
+    def __init__(self, read) -> None:
+        self.read = read
+        self.calls = 0
+
+    def outcome(self, instance, reports):
+        self.calls += 1
+        self.read(reports, instance.graph.voters)
+        return DirectChildrenMedian().outcome(instance, reports)
+
+
+_STRAYS = {
+    "getitem": lambda reports, voters: [reports[v] for v in voters],
+    "get": lambda reports, voters: [reports.get(v) for v in voters],
+    "items": lambda reports, voters: list(reports.items()),
+    "values": lambda reports, voters: list(reports.values()),
+    "dict": lambda reports, voters: dict(reports),
+    "copy": lambda reports, voters: [copy.copy(reports)[v] for v in voters],
+}
+_STAYS = {
+    "in": lambda reports, voters: [v in reports for v in voters],
+    "len": lambda reports, voters: len(reports),
+    "sorted": lambda reports, voters: sorted(reports),
+}
+
+
+@pytest.mark.parametrize("read", [*_STRAYS, *_STAYS])
+def test_reading_a_non_participant_evaluates_every_profile_of_its_situation(read):
+    # a situation whose first profile had a non-participant's report read is
+    # evaluated on every profile; one where only the voter set was read is
+    # evaluated once. On this chain every situation with a non-participant
+    # has more than one profile, and every other situation has one.
+    inst = make_chain(3, 3)
+    rule = _ReadsEveryVoter({**_STRAYS, **_STAYS}[read])
+    assert _values_and_outcomes(rule, inst) == reference.tabulate(DirectChildrenMedian(), inst)
+    space = situation_space(inst)
+    assert rule.calls == (len(space.profile_sids) if read in _STRAYS else len(space.keys))
+    assert len(space.keys) < len(space.profile_sids)
+
+
+class _ReadsAllReports(SocialChoiceFunction):
+    """The highest participating peak, found after copying out every voter's report."""
+
+    name = "reads-all-reports"
+
+    def outcome(self, instance, reports):
+        everyone = dict(reports.items())
+        return max(everyone[v].peak for v in participating_voters(instance.graph, everyone, validate=False))
+
+
+class _HighestReportedPeak(SocialChoiceFunction):
+    """The highest reported peak, non-participants' included."""
+
+    name = "highest-reported-peak"
+
+    def outcome(self, instance, reports):
+        return max(report.peak for report in reports.values())
+
+
+class _CountsVoters(SocialChoiceFunction):
+    """A grid point picked by how many of the graph's voters are in the reports: always all of them."""
+
+    name = "counts-voters"
+
+    def outcome(self, instance, reports):
+        return instance.grid[sum(v in reports for v in instance.graph.voters) % len(instance.grid)]
+
+
+class _LastVoterPeak(SocialChoiceFunction):
+    """The last voter's reported peak by name, read with ``get`` whether it takes part or not."""
+
+    name = "last-voter-peak"
+
+    def outcome(self, instance, reports):
+        return reports.get(max(instance.graph.voters)).peak
+
+
+def _table_or_error(tabulate, rule, inst):
+    """``tabulate``'s (values, outcomes), or the type and message of what it raised."""
+    try:
+        return tabulate(rule, inst)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_rule_table_matches_per_profile_tabulation():
+    # every shape of up to 4 voters; the table or the error, message and
+    # all, must be what evaluating every profile gives
+    rules = [
+        FixedOutcome(F(1, 2)),
+        DirectChildrenMedian(),
+        DepthWeightedMedian(),
+        ParticipantMedian(),
+        _ReadsAllReports(),
+        _HighestReportedPeak(),
+        _CountsVoters(),
+        _LastVoterPeak(),
+        _RaisesOnLastProfile(),
+    ]
+    kinds: dict[str, set] = {rule.name: set() for rule in rules}
+    for graph in tree_shapes(4, 4):
+        inst = Instance(graph, {v: GRID3[-1] for v in graph.voters}, GRID3)
+        for rule in rules:
+            expected = _table_or_error(reference.tabulate, rule, inst)
+            assert _table_or_error(_values_and_outcomes, rule, inst) == expected, (graph, rule.name)
+            kinds[rule.name].add(expected[0] if isinstance(expected[0], type) else "table")
+    # the two rules whose outcome reads a non-participant's report tabulate
+    # only on shapes where the voters they read always take part
+    assert kinds == {
+        **{rule.name: {"table"} for rule in rules},
+        "highest-reported-peak": {"table", ConfigurationError},
+        "last-voter-peak": {"table", ConfigurationError},
+        "raises-on-last-profile": {RuntimeError},
+    }
 
 
 def test_rules_with_different_phantoms_get_separate_tables():
