@@ -11,8 +11,8 @@ with arc consistency then decides satisfiability completely: a Sat verdict
 comes with a full table, an Unsat verdict means exhaustive refutation, and a
 timeout is reported as inconclusive, never as Unsat.
 
-``encode`` reads the situations, deviation groups and anonymity classes of
-the shared ``SituationSpace`` (the one the checkers scan) and emits
+``encode`` assembles the CSP from blocks of the shared ``SituationSpace``
+(the one the checkers scan), each built once per space and key, and emits
 integers: a domain is a bitmask over grid indices and an SP constraint names
 its true peak by grid index. ``solve`` works on the same integers and reads
 preferences from one table filled by the exact ``compare``, so Fractions
@@ -25,7 +25,6 @@ of a lazy heap rather than the result of a scan.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -182,14 +181,7 @@ def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
 
 def collect_situations(instance: Instance, options: CspOptions | None = None) -> tuple[SituationKey, ...]:
     """Every observable situation reachable from some legal report profile, sorted."""
-    space = _situation_space(instance, options or CspOptions())
-    return tuple(space.keys[sid] for sid in space.key_order())
-
-
-def _hull_mask(space: SituationSpace, sid: int, members: list[int]) -> int:
-    """The grid indices of ``space.hull(sid, members)``, as a bitmask."""
-    lo, hi = space.hull(sid, members)
-    return (1 << hi + 1) - (1 << lo)
+    return _situation_space(instance, options or CspOptions()).variables()[1]
 
 
 def encode(instance: Instance, properties: Iterable[str], options: CspOptions | None = None) -> Csp:
@@ -199,91 +191,31 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
     ascending key. Domains are bitmasks over grid indices and an SP
     constraint ``(t, d, p)`` names the grid index ``p`` of the true peak;
     Fractions appear only in the keys.
+
+    The encoding is assembled from blocks the space builds once per key
+    (see ``SituationSpace``): the domains per PE and depth-1 hull, the
+    equalities per anonymity variant, the SP triples per mode and the
+    relevance groups per voter. So every cell and search on one instance
+    shares them; only ``domains`` is copied, since it is a list.
     """
     options = options or CspOptions()
     props = normalize_properties(properties)
     graph = instance.graph
-    points = len(instance.grid)
-
     space = _situation_space(instance, options)
-    order = space.key_order()
-    var = [0] * len(order)
-    for i, sid in enumerate(order):
-        var[sid] = i
-    invitations = space.invitations
-    direct = [k for k, v in enumerate(graph.voters) if v in graph.moderator_children]
-
-    domains: list[int] = []
-    for sid in order:
-        mask = (1 << points) - 1
-        if "PE" in props:
-            mask &= _hull_mask(space, sid, space.participants(sid))
-        if options.depth1_hull:
-            mask &= _hull_mask(space, sid, direct)
-        domains.append(mask)
-
-    equalities: set[tuple[int, int]] = set()
-    for token in props:
-        if not token.startswith("AN"):
-            continue
-        for sid, classes in enumerate(space.classes(AnonymityVariant(token))):
-            base = var[sid]
-            for _, members in classes:
-                for pair in itertools.combinations(members, 2):
-                    a, b = space.peaks(sid, pair)
-                    if a != b:
-                        other = var[space.with_peaks(sid, pair, (b, a))]
-                        equalities.add((min(base, other), max(base, other)))
-
+    blocks = [space.equalities(AnonymityVariant(token)) for token in props if token.startswith("AN")]
     sp_mode = "full" if "SP" in props else ("diffusion" if "SP-D" in props else None)
-    sp_constraints: dict[tuple[int, int, int], None] = {}  # insertion-ordered set
-    vr_scope: set[VoterId] = set()
-    for token in props:
-        if token.startswith("VR-"):
-            d = int(token[3:])
-            vr_scope.update(v for v in graph.voters if 1 <= graph.true_depth(v) <= d)
-    vr_constraints: list[VrConstraint] = []
-    for k, voter in enumerate(graph.voters):
-        if sp_mode is None and voter not in vr_scope:
-            continue
-        n = invitations[k]
-        seen: set[tuple[int, ...]] = set()
-        groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-        for _, group in space.deviation_groups(voter):
-            sids = tuple(group)
-            if sids in seen:  # contexts that differ only in non-participants
-                continue
-            seen.add(sids)
-            rep_var = [var[sid] for sid in sids]
-            if sp_mode is not None:
-                # report p*n + m claims peak p and invites the children in mask m,
-                # so p*n + n-1 is the truthful report of a voter whose peak is p
-                for p in range(points):
-                    var_t = rep_var[p * n + n - 1]
-                    devs = rep_var if sp_mode == "full" else rep_var[p * n : (p + 1) * n]
-                    for var_d in devs:
-                        if var_d != var_t:
-                            sp_constraints[var_t, var_d, p] = None
-            if voter in vr_scope:
-                members = tuple(sorted(set(rep_var)))
-                if len(members) >= 2:
-                    groups[members] = None
-        if voter in vr_scope:
-            vr_constraints.append(VrConstraint(voter, tuple(groups)))
-
-    # the dict goes before the tuple is built, so at most two copies of the
-    # triples are held at once
-    sp_triples = sorted(sp_constraints)
-    del sp_constraints
+    depth = max([int(token[3:]) for token in props if token.startswith("VR-")], default=0)
     return Csp(
         instance=instance,
         properties=props,
         options=options,
-        keys=tuple(space.keys[sid] for sid in order),
-        domains=domains,
-        equalities=tuple(sorted(equalities)),
-        sp_constraints=tuple(sp_triples),
-        vr_constraints=tuple(vr_constraints),
+        keys=space.variables()[1],
+        domains=list(space.domains("PE" in props, options.depth1_hull)),
+        equalities=blocks[0] if len(blocks) == 1 else tuple(sorted(set().union(*blocks))),
+        sp_constraints=() if sp_mode is None else space.sp_triples(sp_mode),
+        vr_constraints=tuple(
+            VrConstraint(v, space.relevance_groups(v)) for v in graph.voters if 1 <= graph.true_depth(v) <= depth
+        ),
     )
 
 

@@ -9,6 +9,7 @@ these streams therefore produce the same minimal witness on every run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -177,6 +178,20 @@ SPACE_CACHE_SIZE = 4  # shapes kept; a peak sweep visits one shape's assignments
 TABLES_PER_SPACE = 4  # rule tables kept per shape
 
 
+def _memoized(build):
+    """A ``SituationSpace`` method computed once per space and arguments, and evicted with the space."""
+
+    @functools.wraps(build)
+    def method(self, *args):
+        key = (build.__name__, *args)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build(self, *args)
+        return out
+
+    return method
+
+
 class SituationSpace:
     """The profile, deviation and anonymity streams of one tree shape, as ints.
 
@@ -226,10 +241,24 @@ class SituationSpace:
     - ``key_order()`` lists the situations by ascending key: a key lists
       its entries by voter, and an entry compares by voter, then peak, then
       invited tuple.
+    - The blocks ``cspsearch.encode`` assembles a search encoding from,
+      over variables numbered by ascending key, one per key:
+      ``variables()``, the variable of each situation and the keys in
+      variable order; ``domains(pe, depth1_hull)``, the hull bitmask per
+      variable; ``equalities(variant)``, the anonymity equalities;
+      ``sp_triples(mode)``, the SP constraints of mode ``full`` or
+      ``diffusion``, sorted; and ``relevance_groups(voter)``, the voter's VR
+      groups.
+    - ``points`` is the number of grid points.
     - ``tables`` maps a rule and a preference model to the rule's outcome
       per situation; the checkers fill it (``properties.rule_table``), at
       most ``TABLES_PER_SPACE`` entries. Each table also holds the
       checkers' memoized scans of it, so they are evicted together.
+
+    Deviation contexts, classes, orbits, the key order and the encoding
+    blocks are computed on first use and kept on the space (``_memoized``),
+    so they are evicted with it: every matrix cell and search on one shape
+    and grid shares them, and a shape that leaves the cache rebuilds them.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -285,12 +314,10 @@ class SituationSpace:
             [tuple([entries[k][r] for k, r in enumerate(digits) if r >= 0]) for digits in self.digits]
         )
         self.profile_sids = sids
+        self.points = len(instance.grid)
         self.tables: OrderedDict = OrderedDict()
         self._strides = strides
-        self._contexts: dict[VoterId, tuple[int, int, list[int]]] = {}
-        self._classes: dict[AnonymityVariant, list[tuple[tuple[tuple, tuple[int, ...]], ...]]] = {}
-        self._orbits: dict[AnonymityVariant, list[tuple[int, ...]]] = {}
-        self._key_order: list[int] | None = None
+        self._memo: dict[tuple, object] = {}  # what the ``_memoized`` methods computed, by name and arguments
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
         """The profile at ``position`` in ``enumerate_profiles`` order."""
@@ -300,26 +327,26 @@ class SituationSpace:
             digits.append(digit)
         return {v: self.reports[v][d] for v, d in zip(self.graph.voters, reversed(digits))}
 
+    @_memoized
+    def _contexts(self, voter: VoterId) -> tuple[int, int, list[int]]:
+        # a profile's position is mixed-radix over the voters, the last
+        # fastest; the positions where this voter's digit is 0 list the
+        # others' joint reports in lexicographic order, and participation
+        # never depends on the voter's own report
+        k = self.graph.voters.index(voter)
+        stride = self._strides[k]
+        block = stride * len(self.reports[voter])
+        sids, digits = self.profile_sids, self.digits
+        starts = [
+            pos
+            for start in range(0, len(sids), block)
+            for pos in range(start, start + stride)
+            if digits[sids[pos]][k] >= 0
+        ]
+        return stride, block, starts
+
     def deviation_groups(self, voter: VoterId) -> Iterator[tuple[int, list[int]]]:
-        contexts = self._contexts.get(voter)
-        if contexts is None:
-            # a profile's position is mixed-radix over the voters, the last
-            # fastest; the positions where this voter's digit is 0 list the
-            # others' joint reports in lexicographic order, and participation
-            # never depends on the voter's own report
-            voters = self.graph.voters
-            k = voters.index(voter)
-            stride = self._strides[k]
-            block = stride * len(self.reports[voter])
-            sids, digits = self.profile_sids, self.digits
-            starts = [
-                pos
-                for start in range(0, len(sids), block)
-                for pos in range(start, start + stride)
-                if digits[sids[pos]][k] >= 0
-            ]
-            contexts = self._contexts[voter] = (stride, block, starts)
-        stride, block, starts = contexts
+        stride, block, starts = self._contexts(voter)
         for pos in starts:
             yield pos, self.profile_sids[pos : pos + block : stride]
 
@@ -360,29 +387,27 @@ class SituationSpace:
             position += (peak - digits[k] // n) * n * self._strides[k]
         return self.profile_sids[position]
 
+    @_memoized
     def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
         """Per situation, its ``permutation_classes`` of two or more voters, as (key, voter indices).
 
         Classes read only who takes part and what they invite, so they are
         computed once per such pattern.
         """
-        out = self._classes.get(variant)
-        if out is None:
-            index = {v: k for k, v in enumerate(self.graph.voters)}
-            by_pattern: dict[tuple[int, ...], tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
-            out = []
-            for key, digits in zip(self.keys, self.digits):
-                pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, self.invitations))
-                classes = by_pattern.get(pattern)
-                if classes is None:
-                    reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-                    classes = by_pattern[pattern] = tuple(
-                        (cls.key, tuple(sorted(index[v] for v in cls.members)))
-                        for cls in permutation_classes(self.graph, reports, variant)
-                        if len(cls.members) >= 2
-                    )
-                out.append(classes)
-            self._classes[variant] = out
+        index = {v: k for k, v in enumerate(self.graph.voters)}
+        by_pattern: dict[tuple[int, ...], tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
+        out = []
+        for key, digits in zip(self.keys, self.digits):
+            pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, self.invitations))
+            classes = by_pattern.get(pattern)
+            if classes is None:
+                reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
+                classes = by_pattern[pattern] = tuple(
+                    (cls.key, tuple(sorted(index[v] for v in cls.members)))
+                    for cls in permutation_classes(self.graph, reports, variant)
+                    if len(cls.members) >= 2
+                )
+            out.append(classes)
         return out
 
     def permutations(
@@ -402,6 +427,7 @@ class SituationSpace:
                 if perm != peaks:
                     yield key, members, perm, self.with_peaks(sid, members, perm)
 
+    @_memoized
     def orbits(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
         """Every class orbit of two or more situations, ordered by least member.
 
@@ -412,31 +438,125 @@ class SituationSpace:
         not constant. Situations are walked in id order, so each orbit is
         found from its least member and the list comes ordered by it.
         """
-        out = self._orbits.get(variant)
-        if out is None:
-            classes = self.classes(variant)
-            covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
-            out = []
-            for sid, own in enumerate(classes):
-                for c, (_, members) in enumerate(own):
-                    if covered[sid] >> c & 1:
-                        continue
-                    peaks = self.peaks(sid, members)
-                    if min(peaks) == max(peaks):  # the orbit is the situation alone
-                        continue
-                    perms = set(itertools.permutations(peaks))
-                    orbit = sorted([self.with_peaks(sid, members, perm) for perm in perms])
-                    for other in orbit:
-                        covered[other] |= 1 << c
-                    out.append(tuple(orbit))
-            self._orbits[variant] = out
+        covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
+        out = []
+        for sid, own in enumerate(self.classes(variant)):
+            for c, (_, members) in enumerate(own):
+                if covered[sid] >> c & 1:
+                    continue
+                peaks = self.peaks(sid, members)
+                if min(peaks) == max(peaks):  # the orbit is the situation alone
+                    continue
+                perms = set(itertools.permutations(peaks))
+                orbit = sorted([self.with_peaks(sid, members, perm) for perm in perms])
+                for other in orbit:
+                    covered[other] |= 1 << c
+                out.append(tuple(orbit))
         return out
 
+    @_memoized
     def key_order(self) -> list[int]:
         """Situation ids by ascending key."""
-        if self._key_order is None:
-            self._key_order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        return self._key_order
+        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
+
+    # The blocks of a search encoding (``cspsearch.encode``), over variables
+    # numbered by ascending key.
+
+    @_memoized
+    def variables(self) -> tuple[list[int], tuple[SituationKey, ...]]:
+        """``var[s]``, the variable of situation ``s``, and the keys in variable order."""
+        order = self.key_order()
+        var = [0] * len(order)
+        for i, sid in enumerate(order):
+            var[sid] = i
+        return var, tuple([self.keys[sid] for sid in order])
+
+    @_memoized
+    def domains(self, pe: bool, depth1_hull: bool) -> tuple[int, ...]:
+        """Per variable, the grid indices its outcome may take, as a bitmask.
+
+        Under ``pe`` the outcome lies in the participants' peak hull, and
+        under ``depth1_hull`` in the direct children's.
+        """
+        graph = self.graph
+        direct = [k for k, v in enumerate(graph.voters) if v in graph.moderator_children]
+
+        def within(sid: int, members: list[int]) -> int:
+            lo, hi = self.hull(sid, members)
+            return (1 << hi + 1) - (1 << lo)
+
+        masks = []
+        for sid in self.key_order():
+            mask = (1 << self.points) - 1
+            if pe:
+                mask &= within(sid, self.participants(sid))
+            if depth1_hull:
+                mask &= within(sid, direct)
+            masks.append(mask)
+        return tuple(masks)
+
+    @_memoized
+    def equalities(self, variant: AnonymityVariant) -> tuple[tuple[int, int], ...]:
+        """The pairs (a, b), a < b, of variables that swapping two class members' peaks links, ascending."""
+        var, _ = self.variables()
+        sids = self.profile_sids
+        # swapping peaks a and b of voters i and j moves a position by
+        # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
+        unit = [n * stride for n, stride in zip(self.invitations, self._strides)]
+        pairs: set[tuple[int, int]] = set()
+        for sid, classes in enumerate(self.classes(variant)):
+            base, start = var[sid], self.starts[sid]
+            for _, members in classes:
+                for (i, a), (j, b) in itertools.combinations(zip(members, self.peaks(sid, members)), 2):
+                    if a != b:
+                        other = var[sids[start + (b - a) * (unit[i] - unit[j])]]
+                        pairs.add((min(base, other), max(base, other)))
+        return tuple(sorted(pairs))
+
+    def _variable_groups(self, voter: VoterId) -> Iterator[list[int]]:
+        """The voter's deviation groups as the variables of its reports, skipping repeats."""
+        var, _ = self.variables()
+        seen: set[tuple[int, ...]] = set()
+        for _, group in self.deviation_groups(voter):
+            sids = tuple(group)
+            if sids not in seen:  # contexts that differ only in non-participants
+                seen.add(sids)
+                yield [var[sid] for sid in sids]
+
+    @_memoized
+    def sp_triples(self, mode: str) -> tuple[tuple[int, int, int], ...]:
+        """Every SP constraint (t, d, p) of the mode, ascending.
+
+        A voter with true peak index ``p`` weakly prefers variable ``t`` to
+        variable ``d``. ``t`` is the voter's truthful report in one deviation
+        group and ``d`` another report of the group: any (``full``), or one
+        claiming the true peak (``diffusion``). The truthful report invites
+        every child, so ``t`` fixes the reports of everyone who can take
+        part, and ``d`` differs from it in the voter's report alone: no
+        triple repeats, and the block needs no deduplication.
+        """
+        triples: list[tuple[int, int, int]] = []
+        for k, voter in enumerate(self.graph.voters):
+            n = self.invitations[k]
+            for rep_var in self._variable_groups(voter):
+                # report p*n + m claims peak p and invites the children in mask m,
+                # so p*n + n-1 is the truthful report of a voter whose peak is p
+                for p in range(self.points):
+                    var_t = rep_var[p * n + n - 1]
+                    devs = rep_var if mode == "full" else rep_var[p * n : (p + 1) * n]
+                    triples.extend([(var_t, var_d, p) for var_d in devs if var_d != var_t])
+        triples.sort()
+        return tuple(triples)
+
+    @_memoized
+    def relevance_groups(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
+        """The voter's deviation groups of two or more distinct variables, each ascending, without repeats."""
+        groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+        for rep_var in self._variable_groups(voter):
+            members = tuple(sorted(set(rep_var)))
+            if len(members) >= 2:
+                groups[members] = None
+        return tuple(groups)
 
 
 _SPACES: OrderedDict[tuple, SituationSpace] = OrderedDict()

@@ -226,14 +226,15 @@ def rule_table(
 
     Tables are keyed by the rule and the preference model, so rules that
     compare equal share one. ``budget`` bounds the profile count, as in
-    ``situation_space``. Tabulation walks the profiles in order and shows
-    the rule a ``PeakBlindInstance``. It evaluates the rule once per
-    situation, where the situation first appears, on a ``_WatchedProfile``.
-    Where that evaluation read a non-participant's report, it evaluates the
-    rule on every later profile of the situation too, and raises
-    ConfigurationError naming two profiles when they give two outcomes. For
-    a deterministic rule that is the table, and the error, that evaluating
-    every profile gives.
+    ``situation_space``. Tabulation shows the rule a ``PeakBlindInstance``.
+    It evaluates the rule once per situation, where the situation first
+    appears, on a ``_WatchedProfile``. Where that evaluation read a
+    non-participant's report, it evaluates the rule on every later profile
+    of the situation too, and raises ConfigurationError naming two profiles
+    when they give two outcomes. Positions are visited in order: only each
+    situation's first (``space.starts``) until one strays, every position
+    from there on. For a deterministic rule that is the table, and the
+    error, that evaluating every profile gives.
     """
     space = situation_space(instance, budget=budget)
     key = (scf, instance.preference_model)
@@ -243,9 +244,20 @@ def rule_table(
         return space, table
     view = PeakBlindInstance(instance, scf.name)
     rows = {v: (k, space.reports[v]) for k, v in enumerate(instance.graph.voters)}
+    sids = space.profile_sids
     outs: list[Fraction] = []
     strayed = set()  # situations whose first evaluation read a non-participant's report
-    for position, sid in enumerate(space.profile_sids):
+
+    def positions():
+        # each situation's first profile, until one strays; every later profile from there
+        for start in space.starts:
+            yield start
+            if strayed:
+                yield from range(start + 1, len(sids))
+                return
+
+    for position in positions():
+        sid = sids[position]
         if sid == len(outs):  # the situation's first profile
             watched = _WatchedProfile(rows, space.digits[sid])
             outs.append(scf.outcome(view, watched))
@@ -260,9 +272,7 @@ def rule_table(
                     f"{profile_to_json(space.profile_at(space.starts[sid]))} and {profile_to_json(profile)} "
                     f"share one situation but give {format_rational(outs[sid])} and {format_rational(out)}"
                 )
-    values = instance.grid
-    if not set(outs) <= set(values):
-        values = tuple(sorted(set(values).union(outs)))
+    values = tuple(sorted(set(instance.grid).union(outs)))
     index_of = {q: k for k, q in enumerate(values)}
     table = RuleTable(values, tuple(index_of[out] for out in outs))
     space.tables[key] = table
@@ -653,12 +663,9 @@ def run_check(
     if token in ("SP", "SP-D"):
         mode = "full" if token == "SP" else "diffusion_only"
         return check_sp(scf, instance, mode, ambiguous_is_violation=ambiguous_is_violation, budget=budget)
-    if token == "PE":
-        return check_pareto(scf, instance, budget=budget)
-    if token == "ONTO":
-        return check_ontoness(scf, instance, budget=budget)
-    if token == "DEPTH1-HULL":
-        return check_depth1_hull(scf, instance, budget=budget)
+    checks = {"PE": check_pareto, "ONTO": check_ontoness, "DEPTH1-HULL": check_depth1_hull}
+    if token in checks:
+        return checks[token](scf, instance, budget=budget)
     if token.startswith("VR-"):
         return check_voter_relevance(scf, instance, int(token[3:]), budget=budget)
     return check_anonymity(scf, instance, AnonymityVariant(token), budget=budget)

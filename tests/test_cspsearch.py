@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from treechoice.cspsearch import (
     normalize_properties,
 )
 import treechoice.enumeration as enumeration
+from treechoice.enumeration import AnonymityVariant
 from treechoice.model import preference_masks
 from treechoice.fileio import (
     make_chain,
@@ -52,7 +54,7 @@ from treechoice.fileio import (
     make_two_children_one_grandchild,
     uniform_grid,
 )
-from conftest import space_never_built
+from conftest import instances_for, space_never_built, tree_shapes
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -103,6 +105,10 @@ def test_variable_budget_is_enforced(monkeypatch):
         collect_situations(make_chain(3, 3), CspOptions(variable_budget=10))
     with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
         encode(make_chain(3, 3), ["PE"], CspOptions(variable_budget=10))
+    # a space whose encoding blocks are built still checks the budget
+    encode(make_chain(3, 3), ["SP", "PE", "AN-S"])
+    with pytest.raises(BudgetExceededError, match="CSP variable size 39 exceeds budget 10"):
+        encode(make_chain(3, 3), ["SP", "PE", "AN-S"], CspOptions(variable_budget=10))
     # the profiles are projected before the space is built: 6**8 * 3 of them
     monkeypatch.setattr(enumeration, "SituationSpace", space_never_built)
     chain9 = make_chain(9, 3)
@@ -379,13 +385,14 @@ def test_support_memo_matches_the_per_value_loop(points, model, ambiguous_violat
 
 def _csp_dump(csp: Csp) -> str:
     """Canonical JSON of an encoding, with grid indices spelled as their grid points."""
-    grid = csp.instance.grid
+    grid = [format_rational(q) for q in csp.instance.grid]
+    spelled = dict(zip(csp.instance.grid, grid))
     return json.dumps(
         {
-            "keys": [[[v, format_rational(p), list(inv)] for v, p, inv in key] for key in csp.keys],
-            "domains": [[format_rational(q) for q in _values(csp, mask)] for mask in csp.domains],
+            "keys": [[[v, spelled[p], list(inv)] for v, p, inv in key] for key in csp.keys],
+            "domains": [[q for k, q in enumerate(grid) if mask >> k & 1] for mask in csp.domains],
             "equalities": [list(pair) for pair in csp.equalities],
-            "sp": [[t, d, format_rational(grid[p])] for t, d, p in csp.sp_constraints],
+            "sp": [[t, d, grid[p]] for t, d, p in csp.sp_constraints],
             "vr": [[c.voter, [list(g) for g in c.groups]] for c in csp.vr_constraints],
             "csp": csp.to_json(),
         }
@@ -410,6 +417,139 @@ ENCODING_SHA256 = {
 def test_encoding_matches_golden_digest(name, inst, props):
     digest = hashlib.sha256(_csp_dump(encode(inst, props)).encode()).hexdigest()
     assert digest == ENCODING_SHA256[name]
+
+
+def _dict_built_sp_triples(space: enumeration.SituationSpace, mode: str) -> list[tuple[int, int, int]]:
+    """The SP triples as the encoder built them before blocks: deduplicated in a dict, then sorted."""
+    var, _ = space.variables()
+    triples: dict[tuple[int, int, int], None] = {}
+    for k, voter in enumerate(space.graph.voters):
+        n = space.invitations[k]
+        seen: set[tuple[int, ...]] = set()
+        for _, group in space.deviation_groups(voter):
+            if tuple(group) in seen:
+                continue
+            seen.add(tuple(group))
+            rep_var = [var[sid] for sid in group]
+            for p in range(space.points):
+                var_t = rep_var[p * n + n - 1]
+                for var_d in rep_var if mode == "full" else rep_var[p * n : (p + 1) * n]:
+                    if var_d != var_t:
+                        triples[var_t, var_d, p] = None
+    return sorted(triples)
+
+
+def _csp_fields(csp: Csp) -> tuple:
+    """What ``_csp_dump`` spells out, unspelled."""
+    return csp.keys, csp.domains, csp.equalities, csp.sp_constraints, csp.vr_constraints, csp.to_json()
+
+
+def _solve_doc(csp: Csp) -> dict:
+    """The document of ``solve``, without ``wall_time_s`` and ``phase_s``."""
+    doc = solve(csp).to_json()
+    del doc["wall_time_s"]
+    del doc["stats"]["phase_s"]
+    return doc
+
+
+def test_warm_encodings_match_cold_ones_on_every_small_shape(monkeypatch):
+    # every shape with up to 4 voters on 3 points, under every mix of SP mode,
+    # anonymity, PE, relevance level and depth-1 hull; each set is encoded on a
+    # space that has served all the other sets first, and on a space built anew
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    sp_sets = ([], ["SP"], ["SP-D"])
+    an_sets = (["AN"], ["AN-S"], ["AN-D"], ["AN-SD"], ["AN-S", "AN-D"])
+    for graph in tree_shapes(4, 4):
+        inst = instances_for(graph, GRID3)[0]
+        cases = [
+            (sp + an + pe + ([f"VR-{d}"] if d else []), CspOptions(depth1_hull=hull))
+            for sp, an, pe, d, hull in itertools.product(
+                sp_sets, an_sets, ([], ["PE"]), range(graph.max_depth + 1), (False, True)
+            )
+        ]
+        for props, options in cases:
+            encode(inst, props, options)
+        warm = [encode(inst, props, options) for props, options in cases]
+        space = enumeration.situation_space(inst)
+        for mode in ("full", "diffusion"):
+            assert list(space.sp_triples(mode)) == _dict_built_sp_triples(space, mode)
+        for csp, (props, options) in zip(warm, cases):
+            enumeration._SPACES.clear()
+            cold = encode(inst, props, options)
+            # every field the dump reads, compared as is; the dump itself and
+            # the solve only for the existence table's cells (SP, PE, one
+            # anonymity column, a relevance level), to keep the test short:
+            # without SP, relevance is decided at the leaves only, and some
+            # 4-voter sets search for seconds
+            assert _csp_fields(csp) == _csp_fields(cold), (graph, props, options)
+            if props[0] == "SP" and "PE" in props:
+                assert _csp_dump(csp) == _csp_dump(cold), (graph, props, options)
+                assert _solve_doc(csp) == _solve_doc(cold), (graph, props, options)
+
+
+def test_encodings_share_blocks_but_not_domains(monkeypatch):
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    inst = make_chain(3, 3)
+    first = encode(inst, ["SP", "PE", "AN-S", "VR-2"])
+    expected = list(first.domains)
+    first.domains[:] = [1] * len(first.domains)
+    second = encode(inst, ["SP", "PE", "AN-S", "VR-2"])
+    assert second.domains == expected and second.domains is not first.domains
+    assert second.sp_constraints is first.sp_constraints
+    assert second.equalities is first.equalities
+    assert second.keys is first.keys
+    assert [c.groups for c in second.vr_constraints] == [c.groups for c in first.vr_constraints]
+    assert all(a.groups is b.groups for a, b in zip(first.vr_constraints, second.vr_constraints))
+    # two anonymity variants: the union of their blocks, sorted, as one encoding reads it
+    both = encode(inst, ["AN-S", "AN-D"]).equalities
+    assert both == tuple(sorted(set(encode(inst, ["AN-S"]).equalities) | set(encode(inst, ["AN-D"]).equalities)))
+
+
+def _count_builds(monkeypatch, *names: str) -> dict:
+    """Count the builds of the named ``SituationSpace`` blocks, kept in the same memo."""
+    builds: dict = {}
+    for name in names:
+        build = getattr(enumeration.SituationSpace, name).__wrapped__
+
+        @functools.wraps(build)
+        def counted(self, *args, build=build, name=name):
+            builds[name, args] = builds.get((name, args), 0) + 1
+            return build(self, *args)
+
+        monkeypatch.setattr(enumeration.SituationSpace, name, enumeration._memoized(counted))
+    return builds
+
+
+def test_blocks_are_built_once_per_space_and_key(monkeypatch):
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    builds = _count_builds(monkeypatch, "sp_triples", "equalities", "domains")
+    inst = make_chain(3, 3)
+    for column in ("AN", "AN-S", "AN-D", "AN-SD"):
+        for d in range(4):
+            encode(inst, ["SP", "PE", column] + ([f"VR-{d}"] if d else []))
+    encode(inst, ["SP-D", "AN-S", "AN-D"], CspOptions(depth1_hull=True))
+    assert builds == {
+        ("sp_triples", ("full",)): 1,
+        ("sp_triples", ("diffusion",)): 1,
+        **{("equalities", (AnonymityVariant(c),)): 1 for c in ("AN", "AN-S", "AN-D", "AN-SD")},
+        ("domains", (True, False)): 1,
+        ("domains", (False, True)): 1,
+    }
+
+
+def test_an_evicted_space_rebuilds_its_blocks(monkeypatch):
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    builds = _count_builds(monkeypatch, "sp_triples")
+    inst = make_chain(3, 3)
+    before = encode(inst, ["SP", "PE"])
+    space = enumeration.situation_space(inst)
+    for points in range(4, 4 + enumeration.SPACE_CACHE_SIZE):
+        enumeration.situation_space(make_chain(3, points))
+    assert enumeration.situation_space(inst) is not space
+    after = encode(inst, ["SP", "PE"])
+    assert builds == {("sp_triples", ("full",)): 2}
+    assert after.sp_constraints == before.sp_constraints
+    assert after.sp_constraints is not before.sp_constraints
 
 
 # Differential test: random CSPs over the 12 situations of a two-voter chain,
