@@ -24,6 +24,7 @@ from .model import (
     ReportedType,
     SituationKey,
     VoterId,
+    format_rational,
     participating_voters,
     reported_depths,
 )
@@ -164,14 +165,23 @@ def participating_others(
             yield others
 
 
-def deviation_space_size(instance: Instance, own_sizes: Mapping[VoterId, int]) -> int:
-    """Projected size of a per-voter deviation enumeration.
+def deviation_space_size(
+    instance: Instance,
+    own_sizes: Mapping[VoterId, int],
+    *,
+    budget: int | None = None,
+    what: str = "deviation enumeration",
+) -> int:
+    """Projected size of a per-voter deviation enumeration; BudgetExceededError names it above ``budget``.
 
     Each voter contributes every joint report of the others times
     ``own_sizes[voter]``, the reports it is tried with in each of them.
     """
     total = profile_space_size(instance)
-    return sum(total // instance.report_space_size(v) * own for v, own in own_sizes.items())
+    size = sum(total // instance.report_space_size(v) * own for v, own in own_sizes.items())
+    if budget is not None and size > budget:
+        raise BudgetExceededError(size, budget, what=what)
+    return size
 
 
 SPACE_CACHE_SIZE = 4  # shapes kept; a peak sweep visits one shape's assignments in a row
@@ -201,7 +211,7 @@ class SituationSpace:
     spaces, participation and situations read only the graph and the grid,
     never true peaks, so every peak assignment of a shape shares one space
     (see ``situation_space``). The space holds no profiles: a checker that
-    needs one for a witness rebuilds it from its position (``profile_at``).
+    needs one for a witness spells it from its position (``profile_json``).
 
     - ``reports[voter]`` is the voter's ``report_space``, which does not
       depend on its true peak. A report's index there is its peak's grid
@@ -233,11 +243,20 @@ class SituationSpace:
       ``enumerate_profiles``, the profile where every voter not taking part
       reports its first report; ``with_peaks`` moves from it by one stride
       per moved peak.
-    - ``hull(s, members)`` is the grid-index range of the peaks the voters
-      ``members`` report in situation ``s``; the PE and depth-1 checks and
-      the search encoder all read hulls from it.
-    - ``positions_with_peaks(peaks)`` lists the profiles where every voter
-      reports a given peak, such as the truthful-peak profiles PE scans.
+    - ``hulls`` is (lows, highs): ``lows[s]`` and ``highs[s]`` are the
+      lowest and highest peak grid index that a voter taking part in
+      situation ``s`` reports. ``direct_hulls`` is the same over the
+      moderator's children, who always take part. The walk that numbers
+      the situations fills both; the PE and depth-1 checks and the
+      search's domains read them.
+    - ``strides[k]`` is how far apart two positions are whose profiles
+      differ by one in voter ``k``'s report index and in nothing else.
+    - ``profile_json(position, omit)`` spells the profile at ``position``,
+      without voter ``omit``, as ``properties.profile_to_json`` does, and
+      ``report_json(k, r)`` one report; both read the strings ``spelled()``
+      formats once per space, and build new dicts and lists on every call,
+      so a witness is its caller's own. ``profile_at`` rebuilds the
+      profile itself.
     - ``key_order()`` lists the situations by ascending key: a key lists
       its entries by voter, and an entry compares by voter, then peak, then
       invited tuple.
@@ -249,16 +268,17 @@ class SituationSpace:
       ``sp_triples(mode)``, the SP constraints of mode ``full`` or
       ``diffusion``, sorted; and ``relevance_groups(voter)``, the voter's VR
       groups.
-    - ``points`` is the number of grid points.
+    - ``grid`` is the grid and ``points`` the number of its points.
     - ``tables`` maps a rule and a preference model to the rule's outcome
       per situation; the checkers fill it (``properties.rule_table``), at
       most ``TABLES_PER_SPACE`` entries. Each table also holds the
       checkers' memoized scans of it, so they are evicted together.
 
-    Deviation contexts, classes, orbits, the key order and the encoding
-    blocks are computed on first use and kept on the space (``_memoized``),
-    so they are evicted with it: every matrix cell and search on one shape
-    and grid shares them, and a shape that leaves the cache rebuilds them.
+    Deviation contexts, classes, orbits, the key order, the spelled strings
+    and the encoding blocks are computed on first use and kept on the space
+    (``_memoized``), so they are evicted with it: every matrix cell and
+    search on one shape and grid shares them, and a shape that leaves the
+    cache rebuilds them.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -278,54 +298,100 @@ class SituationSpace:
         # One walk in tree order, parents first: a voter that takes part
         # branches on its reports, any other is free. Each leaf is one
         # situation: who takes part, where its profiles start with every free
-        # digit 0, and the report digits.
-        leaves = [(sum(bit[v] for v in graph.moderator_children), 0, (-1,) * len(voters))]
+        # digit 0, the report digits, and the lowest and highest peak index
+        # reported, then the same over the direct children. These are walked
+        # first and always take part, so once they are walked the hull so far
+        # is theirs.
+        points = len(instance.grid)
+        leaves = [
+            (sum(bit[v] for v in graph.moderator_children), 0, (-1,) * len(voters), points, -1, points, -1)
+        ]
         frontier = sorted(graph.moderator_children)
+        direct, walked = len(frontier), 0
         while frontier:
             k = voters.index(frontier.pop(0))
             frontier.extend(sorted(graph.true_children(voters[k])))
+            peaks = [r // self.invitations[k] for r in range(sizes[k])]
             grown = []
-            for reached, start, digits in leaves:
+            for reached, start, digits, lo, hi, dlo, dhi in leaves:
                 if reached >> k & 1:
                     head, tail = digits[:k], digits[k + 1 :]
                     grown.extend(
-                        (reached | invites[k][r], start + r * strides[k], head + (r,) + tail)
-                        for r in range(sizes[k])
+                        (
+                            reached | invites[k][r],
+                            start + r * strides[k],
+                            head + (r,) + tail,
+                            lo if lo < p else p,
+                            hi if hi > p else p,
+                            dlo,
+                            dhi,
+                        )
+                        for r, p in enumerate(peaks)
                     )
                 else:
-                    grown.append((reached, start, digits))
-            leaves = grown
+                    grown.append((reached, start, digits, lo, hi, dlo, dhi))
+            walked += 1
+            leaves = grown if walked != direct else [leaf[:5] + leaf[3:5] for leaf in grown]
         leaves.sort(key=lambda leaf: leaf[1])  # ids by first appearance in enumerate_profiles
+        columns = map(list, zip(*leaves))
+        reached_sets, self.starts, self.digits, lows, highs, direct_lows, direct_highs = columns
+        self.hulls = (lows, highs)
+        self.direct_hulls = (direct_lows, direct_highs)
 
         sids = [0] * math.prod(sizes)
-        for sid, (reached, start, _) in enumerate(leaves):
-            positions = [start]
-            for k in range(len(voters)):
-                if not reached >> k & 1:
-                    positions = [p + r * strides[k] for p in positions for r in range(sizes[k])]
-            for p in positions:
-                sids[p] = sid
+        free = {}  # per set of voters taking part, its situations' profiles as offsets from their start
+        for sid, (reached, start) in enumerate(zip(reached_sets, self.starts)):
+            offsets = free.get(reached)
+            if offsets is None:
+                offsets = [0]
+                for k in range(len(voters)):
+                    if not reached >> k & 1:
+                        offsets = [p + r * strides[k] for p in offsets for r in range(sizes[k])]
+                free[reached] = offsets
+            for p in offsets:
+                sids[start + p] = sid
 
-        self.digits: list[tuple[int, ...]] = [digits for _, _, digits in leaves]
-        self.starts: list[int] = [start for _, start, _ in leaves]
         # from lists, not generators: a tuple built from a generator is
         # over-allocated, then shrunk, which fragments the heap
         self.keys: tuple[SituationKey, ...] = tuple(
             [tuple([entries[k][r] for k, r in enumerate(digits) if r >= 0]) for digits in self.digits]
         )
         self.profile_sids = sids
-        self.points = len(instance.grid)
+        self.grid = instance.grid
+        self.points = points
         self.tables: OrderedDict = OrderedDict()
-        self._strides = strides
+        self.strides = strides
         self._memo: dict[tuple, object] = {}  # what the ``_memoized`` methods computed, by name and arguments
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
         """The profile at ``position`` in ``enumerate_profiles`` order."""
-        digits = []
-        for v in reversed(self.graph.voters):
-            position, digit = divmod(position, len(self.reports[v]))
-            digits.append(digit)
-        return {v: self.reports[v][d] for v, d in zip(self.graph.voters, reversed(digits))}
+        return {
+            v: self.reports[v][position // stride % len(self.reports[v])]
+            for v, stride in zip(self.graph.voters, self.strides)
+        }
+
+    @_memoized
+    def spelled(self) -> tuple[list[str], list[list[tuple]]]:
+        """Grid points spelled by ``format_rational``, and per voter index its reports as (peak, sorted invited)."""
+        grid = [format_rational(q) for q in self.grid]
+        return grid, [
+            [(grid[r // n], tuple(sorted(rep.invited))) for r, rep in enumerate(self.reports[v])]
+            for v, n in zip(self.graph.voters, self.invitations)
+        ]
+
+    def report_json(self, k: int, r: int) -> dict:
+        """Report ``r`` of voter index ``k`` as ``properties.profile_to_json`` spells it, in new containers."""
+        peak, invited = self.spelled()[1][k][r]
+        return {"peak": peak, "invited": list(invited)}
+
+    def profile_json(self, position: int, omit: VoterId | None = None) -> dict:
+        """``properties.profile_to_json(self.profile_at(position))`` without ``omit``, in new containers."""
+        out = {}
+        for v, row, stride in zip(self.graph.voters, self.spelled()[1], self.strides):
+            if v != omit:
+                peak, invited = row[position // stride % len(row)]
+                out[v] = {"peak": peak, "invited": list(invited)}
+        return out
 
     @_memoized
     def _contexts(self, voter: VoterId) -> tuple[int, int, list[int]]:
@@ -334,7 +400,7 @@ class SituationSpace:
         # others' joint reports in lexicographic order, and participation
         # never depends on the voter's own report
         k = self.graph.voters.index(voter)
-        stride = self._strides[k]
+        stride = self.strides[k]
         block = stride * len(self.reports[voter])
         sids, digits = self.profile_sids, self.digits
         starts = [
@@ -355,26 +421,6 @@ class SituationSpace:
         digits = self.digits[sid]
         return tuple(digits[k] // self.invitations[k] for k in members)
 
-    def participants(self, sid: int) -> list[int]:
-        """The indices of the voters taking part in situation ``sid``."""
-        return [k for k, r in enumerate(self.digits[sid]) if r >= 0]
-
-    def hull(self, sid: int, members: Sequence[int]) -> tuple[int, int]:
-        """The lowest and highest grid index among the peaks voters ``members`` report in ``sid``."""
-        peaks = self.peaks(sid, members)
-        return min(peaks), max(peaks)
-
-    def positions_with_peaks(self, peaks: Sequence[int]) -> list[int]:
-        """The positions of the profiles where voter ``k`` reports the peak at grid index ``peaks[k]``.
-
-        Invitations range over every subset; positions come in
-        ``enumerate_profiles`` order.
-        """
-        positions = [0]
-        for peak, n, stride in zip(peaks, self.invitations, self._strides):
-            positions = [p + (peak * n + m) * stride for p in positions for m in range(n)]
-        return positions
-
     def with_peaks(self, sid: int, members: Sequence[int], peaks: Sequence[int]) -> int:
         """Situation ``sid`` with voters ``members`` reporting peaks ``peaks`` instead.
 
@@ -384,7 +430,7 @@ class SituationSpace:
         digits, position = self.digits[sid], self.starts[sid]
         for k, peak in zip(members, peaks):
             n = self.invitations[k]
-            position += (peak - digits[k] // n) * n * self._strides[k]
+            position += (peak - digits[k] // n) * n * self.strides[k]
         return self.profile_sids[position]
 
     @_memoized
@@ -478,20 +524,12 @@ class SituationSpace:
         Under ``pe`` the outcome lies in the participants' peak hull, and
         under ``depth1_hull`` in the direct children's.
         """
-        graph = self.graph
-        direct = [k for k, v in enumerate(graph.voters) if v in graph.moderator_children]
-
-        def within(sid: int, members: list[int]) -> int:
-            lo, hi = self.hull(sid, members)
-            return (1 << hi + 1) - (1 << lo)
-
+        bounds = [hull for hull, on in ((self.hulls, pe), (self.direct_hulls, depth1_hull)) if on]
         masks = []
         for sid in self.key_order():
             mask = (1 << self.points) - 1
-            if pe:
-                mask &= within(sid, self.participants(sid))
-            if depth1_hull:
-                mask &= within(sid, direct)
+            for lows, highs in bounds:
+                mask &= (1 << highs[sid] + 1) - (1 << lows[sid])
             masks.append(mask)
         return tuple(masks)
 
@@ -502,7 +540,7 @@ class SituationSpace:
         sids = self.profile_sids
         # swapping peaks a and b of voters i and j moves a position by
         # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
-        unit = [n * stride for n, stride in zip(self.invitations, self._strides)]
+        unit = [n * stride for n, stride in zip(self.invitations, self.strides)]
         pairs: set[tuple[int, int]] = set()
         for sid, classes in enumerate(self.classes(variant)):
             base, start = var[sid], self.starts[sid]

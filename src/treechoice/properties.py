@@ -23,17 +23,22 @@ A checker is a fold over scan units, each memoized on the table it scans
   voter's truthful report, which fixes its true peak and no other;
 - VR-d: per voter in scope, nothing more, so every level shares the unit;
 - AN, AN-S, AN-D, AN-SD: the variant;
-- PE: the true peaks' grid indices;
+- PE: nothing more for its index of the situations outside their
+  participants' peak hull, and the true peaks' grid indices for the first
+  truthful profile in one of them, read off the index;
 - ONTO and DEPTH1-HULL: nothing more.
 
-A unit holds ints only: counts, positions and indices. Reports, and the
-profiles in witnesses, are rebuilt from them on every call, so what a
-caller receives is its own.
+A unit holds ints only: counts, positions and indices. Hulls are compared
+as grid indices the space computes once (``SituationSpace.hulls``).
+Witnesses are spelled from a unit on every call, from strings the space
+formats once (``SituationSpace.profile_json``) into new dicts and lists,
+so what a caller receives is its own.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -48,7 +53,6 @@ from .enumeration import (
     situation_space,
 )
 from .model import (
-    BudgetExceededError,
     ConfigurationError,
     Instance,
     PreferenceModel,
@@ -354,11 +358,8 @@ def check_sp(
     graph = instance.graph
     model = instance.preference_model
 
-    projected = deviation_space_size(
-        instance, {v: 1 + instance.report_space_size(v, diffusion_only=diffusion) for v in graph.voters}
-    )
-    if budget is not None and projected > budget:
-        raise BudgetExceededError(projected, budget, what="deviation enumeration")
+    own = {v: 1 + instance.report_space_size(v, diffusion_only=diffusion) for v in graph.voters}
+    deviation_space_size(instance, own, budget=budget)
 
     space, table = rule_table(scf, instance, budget=budget)
     values = table.values
@@ -373,15 +374,15 @@ def check_sp(
         )
         examined += count
         if position >= 0:
-            context = space.profile_at(position)
-            reports = space.reports[voter]
-            true_peak = reports[truth_at].peak
+            # ``position`` is the context's profile where the voter reports its first report
+            stride = space.strides[k]
+            true_peak = space.reports[voter][truth_at].peak
             witness = {
                 "voter": voter,
                 "true_peak": format_rational(true_peak),
                 "mode": mode,
-                "truthful_profile": profile_to_json({**context, voter: reports[truth_at]}),
-                "deviation_profile": profile_to_json({**context, voter: reports[r]}),
+                "truthful_profile": space.profile_json(position + truth_at * stride),
+                "deviation_profile": space.profile_json(position + r * stride),
                 "truthful_outcome": format_rational(values[x]),
                 "deviation_outcome": format_rational(values[y]),
                 "preference_verdict": compare(true_peak, values[x], values[y], model).value,
@@ -408,32 +409,61 @@ def check_pareto(
     space, table = rule_table(scf, instance, budget=budget)
     grid, voters = instance.grid, instance.graph.voters
     peaks = tuple(grid.index(instance.true_peaks[v]) for v in voters)
-    examined, position = _unit(table, ("PE", peaks), _pe_scan, space, table, grid, peaks)
+    examined, position = _unit(table, ("PE", peaks), _pe_scan, space, table, peaks)
     if position < 0:
         return CheckReport("PE", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
     sid = space.profile_sids[position]
-    members = space.participants(sid)
-    lo, hi = space.hull(sid, members)
+    lows, highs = space.hulls
     witness = {
-        "profile": profile_to_json(space.profile_at(position)),
-        "participating": [voters[k] for k in members],
-        "hull": [format_rational(grid[lo]), format_rational(grid[hi])],
+        "profile": space.profile_json(position),
+        "participating": [v for v, r in zip(voters, space.digits[sid]) if r >= 0],
+        "hull": [format_rational(grid[lows[sid]]), format_rational(grid[highs[sid]])],
         "outcome": format_rational(table.values[table.outcomes[sid]]),
     }
     return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
 
 
-def _pe_scan(
-    space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...], peaks: tuple[int, ...]
-) -> tuple[int, int]:
-    """The PE unit of one true-peak assignment: (profiles examined, first failing position or -1)."""
-    truthful = space.positions_with_peaks(peaks)
-    for examined, position in enumerate(truthful, 1):
-        sid = space.profile_sids[position]
-        lo, hi = space.hull(sid, space.participants(sid))
-        if not grid[lo] <= table.values[table.outcomes[sid]] <= grid[hi]:
-            return examined, position
-    return len(truthful), -1
+def _pe_scan(space: SituationSpace, table: RuleTable, peaks: tuple[int, ...]) -> tuple[int, int]:
+    """The PE unit of one true-peak assignment: (profiles examined, first failing position or -1).
+
+    The truthful profiles are those where voter ``k`` reports peak
+    ``peaks[k]``, in ``enumerate_profiles`` order: each profile's rank among
+    them reads the voters' invitation masks as digits, voter 0's the most
+    significant. A situation of the PE index whose participants report
+    those peaks is first reached where every other voter's mask is 0.
+    """
+    ns, strides = space.invitations, space.strides
+    first = None
+    for sid in _unit(table, "PE", _outside, space.grid, space.hulls, table):
+        rank = position = 0
+        for k, (r, n) in enumerate(zip(space.digits[sid], ns)):
+            if r < 0:  # not taking part: its true peak, inviting no one
+                r = peaks[k] * n
+            elif r // n != peaks[k]:
+                break
+            rank = rank * n + r % n
+            position += r * strides[k]
+        else:
+            if first is None or rank < first[0]:
+                first = rank, position
+    if first is None:
+        return math.prod(ns), -1
+    return first[0] + 1, first[1]
+
+
+def _outside(
+    grid: tuple[Fraction, ...], hulls: tuple[list[int], list[int]], table: RuleTable
+) -> tuple[int, ...]:
+    """The situations whose outcome lies outside their grid-index hull in ``hulls``, ascending.
+
+    Over the participants' hulls this is the PE index, memoized under
+    ``"PE"``. ``table.values`` is sorted and holds the grid, so an outcome
+    and a hull compare as indices into it.
+    """
+    at = [table.values.index(q) for q in grid]
+    lows, highs = hulls
+    rows = enumerate(zip(table.outcomes, lows, highs))
+    return tuple([sid for sid, (x, lo, hi) in rows if not at[lo] <= x <= at[hi]])
 
 
 def find_dominating_point(
@@ -514,17 +544,14 @@ def check_anonymity(
     position, sid, k = _unit(table, variant, _an_scan, space, table.outcomes, variant)
     if position < 0:
         return CheckReport(variant.value, "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
-    profile = space.profile_at(position)
-    key, members, peaks, other = next(itertools.islice(space.permutations(sid, variant), k, None))
-    names = [instance.graph.voters[m] for m in members]
-    permuted_profile = dict(profile)
-    for v, peak in zip(names, peaks):
-        permuted_profile[v] = ReportedType(instance.grid[peak], profile[v].invited)
+    key, members, _, other = next(itertools.islice(space.permutations(sid, variant), k, None))
+    # the permuted situation first appears where the same voters take part and every other one
+    # reports its first report, as in the situation's own first profile
     witness = {
-        "profile": profile_to_json(profile),
-        "permuted_profile": profile_to_json(permuted_profile),
+        "profile": space.profile_json(position),
+        "permuted_profile": space.profile_json(space.starts[other]),
         "class_key": list(key),
-        "class_members": names,
+        "class_members": [instance.graph.voters[m] for m in members],
         "outcome": format_rational(table.values[table.outcomes[sid]]),
         "permuted_outcome": format_rational(table.values[table.outcomes[other]]),
     }
@@ -573,16 +600,15 @@ def check_voter_relevance(
     graph = instance.graph
     scope = [v for v in graph.voters if 1 <= graph.true_depth(v) <= d]
 
-    projected = deviation_space_size(instance, {v: instance.report_space_size(v) for v in scope})
-    if budget is not None and projected > budget:
-        raise BudgetExceededError(projected, budget, what="relevance enumeration")
+    own = {v: instance.report_space_size(v) for v in scope}
+    deviation_space_size(instance, own, budget=budget, what="relevance enumeration")
 
-    grid_types = [format_rational(q) for q in instance.grid]
     examined = 0
     witnesses: dict[VoterId, dict] = {}
     if scope:
         space, table = rule_table(scf, instance, budget=budget)
         values = table.values
+        grid_types = list(space.spelled()[0])
     for voter in scope:
         count, position, r, a, b = _unit(table, ("VR", voter), _vr_scan, space, table, voter)
         examined += count
@@ -593,12 +619,12 @@ def check_voter_relevance(
                 "note": "no witness on this grid",
             }
             return CheckReport(prop, "Fail", witness, examined, PASS_IS_GRID_RELATIVE)
-        reports = space.reports[voter]
+        k = graph.voters.index(voter)
         witnesses[voter] = {
             "types": grid_types,
-            "others": profile_to_json({u: rep for u, rep in space.profile_at(position).items() if u != voter}),
-            "report_a": profile_to_json({voter: reports[0]})[voter],
-            "report_b": profile_to_json({voter: reports[r]})[voter],
+            "others": space.profile_json(position, omit=voter),
+            "report_a": space.report_json(k, 0),
+            "report_b": space.report_json(k, r),
             "outcome_a": format_rational(values[a]),
             "outcome_b": format_rational(values[b]),
         }
@@ -625,29 +651,18 @@ def check_depth1_hull(
     """
     space, table = rule_table(scf, instance, budget=budget)
     grid = instance.grid
-    direct = [k for k, v in enumerate(instance.graph.voters) if v in instance.graph.moderator_children]
-    (position,) = _unit(table, "DEPTH1-HULL", _depth1_scan, space, table, grid, direct)
-    if position < 0:
+    outside = _unit(table, "DEPTH1-HULL", _outside, grid, space.direct_hulls, table)
+    if not outside:
         return CheckReport("DEPTH1-HULL", "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
-    sid = space.profile_sids[position]
-    lo, hi = space.hull(sid, direct)
+    sid = outside[0]
+    position = space.starts[sid]
+    lows, highs = space.direct_hulls
     witness = {
-        "profile": profile_to_json(space.profile_at(position)),
-        "depth1_hull": [format_rational(grid[lo]), format_rational(grid[hi])],
+        "profile": space.profile_json(position),
+        "depth1_hull": [format_rational(grid[lows[sid]]), format_rational(grid[highs[sid]])],
         "outcome": format_rational(table.values[table.outcomes[sid]]),
     }
     return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
-
-
-def _depth1_scan(
-    space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...], direct: list[int]
-) -> tuple[int]:
-    """The DEPTH1-HULL unit: the first position outside the direct children's hull, or -1."""
-    for sid, k in enumerate(table.outcomes):
-        lo, hi = space.hull(sid, direct)
-        if not grid[lo] <= table.values[k] <= grid[hi]:
-            return (space.starts[sid],)
-    return (-1,)
 
 
 def run_check(

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import string
 from fractions import Fraction
 
 import pytest
 
 from treechoice import Instance, InvitationGraph
 from treechoice.fileio import make_fig2, uniform_grid
-
-VOTER_NAMES = ("a", "b", "c", "d", "e")
 
 
 def _signature(parents: tuple[int, ...]) -> tuple:
@@ -27,7 +26,7 @@ def _signature(parents: tuple[int, ...]) -> tuple:
 
 def graph_from_parents(parents: tuple[int, ...]) -> InvitationGraph:
     """parents[k] is the parent voter index of voter k; -1 means the moderator."""
-    names = VOTER_NAMES[: len(parents)]
+    names = string.ascii_lowercase[: len(parents)]  # enumerating trees of over 26 voters is out of reach
     mc = frozenset(names[k] for k, p in enumerate(parents) if p == -1)
     children: dict[str, set[str]] = {name: set() for name in names}
     for k, p in enumerate(parents):

@@ -14,6 +14,7 @@ from treechoice import (
 )
 from treechoice.enumeration import others_assignments, profile_space_size
 from treechoice.fileio import make_chain, make_fig2, make_star
+from conftest import tree_shapes
 from reference_checkers import truthful_peak_profiles
 
 F = Fraction
@@ -24,6 +25,15 @@ def test_profile_counts_on_two_voter_chain():
     assert profile_space_size(inst) == 18
     assert len(list(enumerate_profiles(inst))) == 18
     assert len(list(truthful_peak_profiles(inst))) == 2
+
+
+def test_tree_shapes_counts_rooted_trees():
+    # with no depth cap, n voters under the moderator are the rooted trees on
+    # n + 1 nodes (OEIS A000081); past 5 voters the names run past "e"
+    shapes = tree_shapes(6, 6)
+    counts = [sum(len(graph.voters) == n for graph in shapes) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 9, 20, 48]
+    assert tree_shapes(6, 3)[-1].voters == tuple("abcdef")
 
 
 def test_profile_count_single_voter():

@@ -32,6 +32,7 @@ from treechoice import (
     check_pareto,
     check_sp,
     check_voter_relevance,
+    enumerate_profiles,
     parse_scf,
     participating_voters,
     peak_permutations,
@@ -196,11 +197,77 @@ def test_table_checkers_match_reference_loops():
     assert mismatches == []
 
 
+def test_profile_json_spells_what_profile_to_json_spells():
+    # every position of every shape of up to 4 voters on 3 points, and fig2,
+    # against the profile there in ``enumerate_profiles``, compared as JSON
+    # text so that key order counts; ``omit`` drops one voter, a different one
+    # from one position to the next, and no two calls share a dict or a list
+    shapes = [Instance(graph, {v: GRID3[-1] for v in graph.voters}, GRID3) for graph in tree_shapes(4, 4)]
+    positions = 0
+    for inst in shapes + [make_fig2()]:
+        space = SituationSpace(inst)
+        voters = inst.graph.voters
+        for k, v in enumerate(voters):
+            for r, report in enumerate(space.reports[v]):
+                assert space.report_json(k, r) == properties.profile_to_json({v: report})[v]
+        for position, profile in enumerate(enumerate_profiles(inst)):
+            assert space.profile_at(position) == profile
+            omit = voters[position % len(voters)]
+            first = space.profile_json(position)
+            assert json.dumps(first) == json.dumps(properties.profile_to_json(profile))
+            others = properties.profile_to_json({u: rep for u, rep in profile.items() if u != omit})
+            assert json.dumps(space.profile_json(position, omit)) == json.dumps(others)
+            again = space.profile_json(position)
+            assert again is not first
+            assert all(again[v] is not first[v] and again[v]["invited"] is not first[v]["invited"] for v in voters)
+            positions += 1
+    assert positions == 4134 + 5184  # the 16 shapes' profiles, then fig2's
+
+
+def test_hull_checks_match_the_reference_on_every_peak_assignment():
+    # PE picks, among the situations of its out-of-hull index whose
+    # participants report the true peaks, the one of least rank; fixed:1/3
+    # is off the 3-point grid, so the outcome is a value the grid lacks. A
+    # fixed rule that fails PE fails where every mask is 0, the least rank
+    # in any order; the reflected rule fails where more voters take part
+    # too, so only it tells the ranks' order apart.
+    rules = [parse_scf(name) for name in RULES + ("fixed:1/3",)] + [_ReflectedLastPeak()]
+    verdicts = set()
+    instances = 0
+    for graph in tree_shapes(4, 4):
+        peak_assignments = instances_for(graph, GRID3)
+        for rule in rules:
+            # the reference DEPTH1-HULL walks every profile and reads no true
+            # peak, so one run of it stands for every assignment of the shape
+            depth1 = json.dumps(reference.check_depth1_hull(rule, peak_assignments[0]).to_json())
+            for inst in peak_assignments:
+                pe = check_pareto(rule, inst).to_json()
+                assert json.dumps(pe) == json.dumps(reference.check_pareto(rule, inst).to_json()), (
+                    graph, rule.name, inst.true_peaks
+                )
+                assert json.dumps(check_depth1_hull(rule, inst).to_json()) == depth1, (graph, rule.name)
+                verdicts.add(("PE", rule.name, pe["verdict"]))
+            verdicts.add(("DEPTH1-HULL", rule.name, json.loads(depth1)["verdict"]))
+            instances += len(peak_assignments)
+    assert instances == 858 * len(rules)
+    failed = {(check, name) for check, name, verdict in verdicts if verdict == "Fail"}
+    assert failed == {
+        *[
+            (check, name)
+            for check in ("PE", "DEPTH1-HULL")
+            for name in ("fixed:1/2", "fixed:1/3", "reflected-last-peak")
+        ],
+        ("DEPTH1-HULL", "participant-median"),
+    }
+
+
 def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     # SP reads only the manipulator's true peak, VR and AN no true peak at all,
     # so sweeping every peak assignment of one shape scans each table at most
     # once per voter and grid point for SP, once per voter for VR, and reads
-    # the orbits once per variant for AN
+    # the orbits once per variant for AN; PE and DEPTH1-HULL build their
+    # out-of-hull index once per table, and the one space walked for the
+    # shape holds the hull arrays they read
     graph = InvitationGraph(frozenset(["a", "b"]), {"a": frozenset(["c"])})
     instances = instances_for(graph, GRID3)
     rules = [parse_scf(name) for name in RULES]  # one table each, none evicted
@@ -208,6 +275,8 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
         "SP": lambda m, rule, inst: [m.check_sp(rule, inst, mode) for mode in ("full", "diffusion_only")],
         "VR": lambda m, rule, inst: [m.check_voter_relevance(rule, inst, d) for d in range(4)],
         "AN": lambda m, rule, inst: [m.check_anonymity(rule, inst, variant) for variant in AnonymityVariant],
+        "PE": lambda m, rule, inst: [m.check_pareto(rule, inst)],
+        "DEPTH1-HULL": lambda m, rule, inst: [m.check_depth1_hull(rule, inst)],
     }
     expected = {
         (name, k, rule.name): [report.to_json() for report in run(reference, rule, inst)]
@@ -216,13 +285,19 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
         for rule in rules
     }
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    reads = {"deviation_groups": 0, "orbits": 0}
-    for method in reads:
-        def counted(self, *args, _read=getattr(SituationSpace, method), _name=method):
-            reads[_name] += 1
-            return _read(self, *args)
+    reads = dict.fromkeys(["deviation_groups", "orbits", "_outside", "SituationSpace"], 0)
 
-        monkeypatch.setattr(SituationSpace, method, counted)
+    def counting(name, call):
+        def counted(*args):
+            reads[name] += 1
+            return call(*args)
+
+        return counted
+
+    for method in ("deviation_groups", "orbits"):
+        monkeypatch.setattr(SituationSpace, method, counting(method, getattr(SituationSpace, method)))
+    monkeypatch.setattr(properties, "_outside", counting("_outside", properties._outside))
+    monkeypatch.setattr(enumeration, "SituationSpace", counting("SituationSpace", SituationSpace))
     counts = {}
     for name, run in sweeps.items():
         before = dict(reads)
@@ -235,7 +310,10 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     assert len(instances) == 27
     assert 0 < counts["SP"]["deviation_groups"] <= 2 * voters * points * tables  # two SP modes
     assert 0 < counts["VR"]["deviation_groups"] <= voters * tables
-    assert counts["AN"] == {"deviation_groups": 0, "orbits": len(AnonymityVariant) * tables}
+    assert counts["SP"]["SituationSpace"] == 1  # the first sweep walks the space, hulls and all
+    unread = dict.fromkeys(reads, 0)
+    assert counts["AN"] == {**unread, "orbits": len(AnonymityVariant) * tables}
+    assert counts["PE"] == counts["DEPTH1-HULL"] == {**unread, "_outside": tables}
 
 
 def test_witnesses_are_built_fresh_on_every_call():
@@ -245,9 +323,12 @@ def test_witnesses_are_built_fresh_on_every_call():
     calls = [
         lambda: check_sp(parse_scf("participant-median"), inst),
         lambda: check_voter_relevance(DirectChildrenMedian(), inst, 1),
+        lambda: check_pareto(FixedOutcome(F(0)), inst),
+        lambda: check_anonymity(DepthWeightedMedian(), inst, AnonymityVariant.FULL),
+        lambda: check_depth1_hull(ParticipantMedian(), inst),
     ]
     first = [call() for call in calls]
-    assert [report.verdict for report in first] == ["Fail", "Pass"]
+    assert [report.verdict for report in first] == ["Fail", "Pass", "Fail", "Fail", "Fail"]
     for report in first:
         witness = report.witness
         nested = next(value for value in witness.values() if isinstance(value, dict))
