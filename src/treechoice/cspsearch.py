@@ -13,13 +13,15 @@ timeout is reported as inconclusive, never as Unsat.
 
 ``encode`` assembles the CSP from blocks of the shared ``SituationSpace``
 (the one the checkers scan), each built once per space and key, and emits
-integers: a domain is a bitmask over grid indices and an SP constraint names
-its true peak by grid index. ``solve`` works on the same integers and reads
-preferences from one table filled by the exact ``compare``, so Fractions
-appear only at the boundary: in situation keys and in Sat models. Its
-kernel reads tables: an arc revision is one lookup in a memo of supported
-values filled from that table, and the smallest-domain variable is the top
-of a lazy heap rather than the result of a scan.
+integers: a domain is a bitmask over grid indices, and the SP constraints
+come as rows, one per deviation group and true peak, that name the peak by
+grid index. ``solve`` maps each group through the anonymity merge once and
+works on the same integers; it reads preferences from one table filled by
+the exact ``compare``, so Fractions appear only at the boundary: in
+situation keys and in Sat models. Its kernel reads tables: an arc revision
+is one lookup in a memo of supported values filled from that table, and the
+smallest-domain variable is the top of a lazy heap rather than the result
+of a scan.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class Csp:
 
     An SP constraint ``(t, d, p)`` asks that a voter with true peak
     ``grid[p]`` weakly prefer variable ``t``'s outcome to variable ``d``'s.
+    ``sp_rows`` holds them by deviation group: a row ``(t, p, ds)`` stands
+    for ``(t, d, p)`` for each ``d`` of ``ds`` other than ``t``.
+    ``sp_constraints`` spells the rows out, ascending.
     """
 
     instance: Instance
@@ -105,8 +110,12 @@ class Csp:
     keys: tuple[SituationKey, ...]
     domains: list[int]
     equalities: tuple[tuple[int, int], ...]
-    sp_constraints: tuple[tuple[int, int, int], ...]
+    sp_rows: tuple[tuple[int, int, tuple[int, ...]], ...]
     vr_constraints: tuple[VrConstraint, ...]
+
+    @property
+    def sp_constraints(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted([(t, d, p) for t, p, ds in self.sp_rows for d in ds if d != t]))
 
     @property
     def constraint_counts(self) -> dict[str, int]:
@@ -114,7 +123,7 @@ class Csp:
             "pareto_hull": len(self.keys) if "PE" in self.properties else 0,
             "depth1_hull": len(self.keys) if self.options.depth1_hull else 0,
             "anon_equality": len(self.equalities),
-            "sp_preference": len(self.sp_constraints),
+            "sp_preference": sum(len(ds) - (t in ds) for t, _, ds in self.sp_rows),
             "vr_disjunction": len(self.vr_constraints),
         }
 
@@ -188,15 +197,16 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
     """Translate a property set into a finite CSP over situation variables.
 
     The variables are the situations of the shared space, numbered by
-    ascending key. Domains are bitmasks over grid indices and an SP
-    constraint ``(t, d, p)`` names the grid index ``p`` of the true peak;
-    Fractions appear only in the keys.
+    ascending key. Domains are bitmasks over grid indices and an SP row
+    ``(t, p, ds)`` names the grid index ``p`` of the true peak; Fractions
+    appear only in the keys.
 
     The encoding is assembled from blocks the space builds once per key
     (see ``SituationSpace``): the domains per PE and depth-1 hull, the
-    equalities per anonymity variant, the SP triples per mode and the
-    relevance groups per voter. So every cell and search on one instance
-    shares them; only ``domains`` is copied, since it is a list.
+    equalities per anonymity variant, the SP rows per mode, one per
+    deviation group and peak, and the relevance groups per voter. So every
+    cell and search on one instance shares them; only ``domains`` is copied,
+    since it is a list.
     """
     options = options or CspOptions()
     props = normalize_properties(properties)
@@ -212,7 +222,7 @@ def encode(instance: Instance, properties: Iterable[str], options: CspOptions | 
         keys=space.variables()[1],
         domains=list(space.domains("PE" in props, options.depth1_hull)),
         equalities=blocks[0] if len(blocks) == 1 else tuple(sorted(set().union(*blocks))),
-        sp_constraints=() if sp_mode is None else space.sp_triples(sp_mode),
+        sp_rows=() if sp_mode is None else space.sp_rows(sp_mode),
         vr_constraints=tuple(
             VrConstraint(v, space.relevance_groups(v)) for v in graph.voters if 1 <= graph.true_depth(v) <= depth
         ),
@@ -249,9 +259,11 @@ class _Supports(dict):
 def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = None) -> CspResult:
     """Complete backtracking over the merged situation variables.
 
-    Anonymity equalities are merged by union-find, unary hulls are already
-    in the domains, arc consistency runs on the preference constraints, and
-    the relevance disjunctions are checked lazily on complete assignments.
+    Anonymity equalities are merged by union-find, and each distinct
+    deviation group of the SP rows is mapped to the merged variables once;
+    the merged preference constraints, deduplicated and ascending, are what
+    arc consistency revises. Unary hulls are already in the domains, and the
+    relevance disjunctions are checked lazily on complete assignments.
     The next variable has the smallest domain, ties to the earliest in a
     fixed tie-break order; value order is ascending grid. ``order_seed``
     shuffles the tie-break and value orders (the verdict must not depend on
@@ -305,8 +317,15 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     for r, mask in zip(rep_of, csp.domains):
         dom[r] &= mask
 
+    # the merged SP constraints, ascending; each distinct deviation group is
+    # mapped once, however many rows share it
+    mapped: dict[tuple[int, ...], list[int]] = {}
+    for _, _, ds in csp.sp_rows:
+        if ds not in mapped:
+            check_deadline({})
+            mapped[ds] = [rep_of[d] for d in ds]
     sp = sorted(
-        dict.fromkeys((rep_of[t], rep_of[d], p) for t, d, p in csp.sp_constraints if rep_of[t] != rep_of[d])
+        dict.fromkeys([(rt, d, p) for t, p, ds in csp.sp_rows for rt in (rep_of[t],) for d in mapped[ds] if d != rt])
     )
     vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
     vr_collapsed: VoterId | None = None

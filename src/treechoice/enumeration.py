@@ -265,9 +265,10 @@ class SituationSpace:
       ``variables()``, the variable of each situation and the keys in
       variable order; ``domains(pe, depth1_hull)``, the hull bitmask per
       variable; ``equalities(variant)``, the anonymity equalities;
-      ``sp_triples(mode)``, the SP constraints of mode ``full`` or
-      ``diffusion``, sorted; and ``relevance_groups(voter)``, the voter's VR
-      groups.
+      ``deviation_vars(voter)``, the voter's distinct deviation groups as
+      variables, which the next two read; ``sp_rows(mode)``, the SP
+      constraints of mode ``full`` or ``diffusion`` as rows over those
+      groups; and ``relevance_groups(voter)``, the voter's VR groups.
     - ``grid`` is the grid and ``points`` the number of its points.
     - ``tables`` maps a rule and a preference model to the rule's outcome
       per situation; the checkers fill it (``properties.rule_table``), at
@@ -551,47 +552,47 @@ class SituationSpace:
                         pairs.add((min(base, other), max(base, other)))
         return tuple(sorted(pairs))
 
-    def _variable_groups(self, voter: VoterId) -> Iterator[list[int]]:
-        """The voter's deviation groups as the variables of its reports, skipping repeats."""
+    @_memoized
+    def deviation_vars(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
+        """The voter's deviation groups as the variables of its reports, skipping repeats.
+
+        Contexts that differ only in non-participants give the same group,
+        which is kept once, at its first context.
+        """
         var, _ = self.variables()
-        seen: set[tuple[int, ...]] = set()
-        for _, group in self.deviation_groups(voter):
-            sids = tuple(group)
-            if sids not in seen:  # contexts that differ only in non-participants
-                seen.add(sids)
-                yield [var[sid] for sid in sids]
+        groups = dict.fromkeys([tuple(sids) for _, sids in self.deviation_groups(voter)])
+        return tuple([tuple([var[sid] for sid in sids]) for sids in groups])
 
     @_memoized
-    def sp_triples(self, mode: str) -> tuple[tuple[int, int, int], ...]:
-        """Every SP constraint (t, d, p) of the mode, ascending.
+    def sp_rows(self, mode: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Every SP constraint of the mode, as rows (t, p, ds) per deviation group and peak.
 
         A voter with true peak index ``p`` weakly prefers variable ``t`` to
-        variable ``d``. ``t`` is the voter's truthful report in one deviation
-        group and ``d`` another report of the group: any (``full``), or one
-        claiming the true peak (``diffusion``). The truthful report invites
-        every child, so ``t`` fixes the reports of everyone who can take
-        part, and ``d`` differs from it in the voter's report alone: no
-        triple repeats, and the block needs no deduplication.
+        each variable ``d`` of ``ds`` other than ``t``. ``t`` is the voter's
+        truthful report in one deviation group and ``ds`` the reports of the
+        group it is compared with: all of them (``full``, the group tuple
+        itself), or those claiming the true peak (``diffusion``). The
+        truthful report invites every child, so ``t`` fixes the reports of
+        everyone who can take part, and ``d`` differs from it in the voter's
+        report alone: no (t, d, p) repeats, within a row or across rows.
         """
-        triples: list[tuple[int, int, int]] = []
+        rows: list[tuple[int, int, tuple[int, ...]]] = []
         for k, voter in enumerate(self.graph.voters):
             n = self.invitations[k]
-            for rep_var in self._variable_groups(voter):
+            for group in self.deviation_vars(voter):
                 # report p*n + m claims peak p and invites the children in mask m,
                 # so p*n + n-1 is the truthful report of a voter whose peak is p
-                for p in range(self.points):
-                    var_t = rep_var[p * n + n - 1]
-                    devs = rep_var if mode == "full" else rep_var[p * n : (p + 1) * n]
-                    triples.extend([(var_t, var_d, p) for var_d in devs if var_d != var_t])
-        triples.sort()
-        return tuple(triples)
+                peaks = range(self.points)
+                devs = itertools.repeat(group) if mode == "full" else [group[p * n : p * n + n] for p in peaks]
+                rows += zip(group[n - 1 :: n], peaks, devs)
+        return tuple(rows)
 
     @_memoized
     def relevance_groups(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
         """The voter's deviation groups of two or more distinct variables, each ascending, without repeats."""
         groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-        for rep_var in self._variable_groups(voter):
-            members = tuple(sorted(set(rep_var)))
+        for group in self.deviation_vars(voter):
+            members = tuple(sorted(set(group)))
             if len(members) >= 2:
                 groups[members] = None
         return tuple(groups)

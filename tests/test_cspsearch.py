@@ -45,6 +45,7 @@ from treechoice.cspsearch import (
     model_to_json,
     normalize_properties,
 )
+import treechoice.cspsearch as cspsearch
 import treechoice.enumeration as enumeration
 from treechoice.enumeration import AnonymityVariant
 from treechoice.model import preference_masks
@@ -214,6 +215,19 @@ def test_timeout_bounds_merging_and_arc_consistency():
         solve(csp, timeout_s=0.01)
     assert time.monotonic() - started < 1.0
     assert exc.value.stats["nodes_explored"] == 0
+
+
+def test_timeout_bounds_the_sp_merge(monkeypatch):
+    # no anonymity equalities, so before arc consistency only the SP merge
+    # can see the deadline; a clock that ticks a second per read passes it
+    # at the first read after the start
+    csp = encode(make_chain(3, 3), ["SP", "PE", "VR-2"])
+    assert not csp.equalities and csp.sp_rows
+    clock = itertools.count()
+    monkeypatch.setattr(cspsearch.time, "monotonic", lambda: float(next(clock)))
+    with pytest.raises(InconclusiveError) as exc:
+        solve(csp, timeout_s=0.5)
+    assert exc.value.stats == {"nodes_explored": 0}  # no ac3_prunes: raised in the merge
 
 
 class _NonParticipantPeak(SocialChoiceFunction):
@@ -441,7 +455,7 @@ def _dict_built_sp_triples(space: enumeration.SituationSpace, mode: str) -> list
 
 def _csp_fields(csp: Csp) -> tuple:
     """What ``_csp_dump`` spells out, unspelled."""
-    return csp.keys, csp.domains, csp.equalities, csp.sp_constraints, csp.vr_constraints, csp.to_json()
+    return csp.keys, csp.domains, csp.equalities, csp.sp_rows, csp.vr_constraints, csp.to_json()
 
 
 def _solve_doc(csp: Csp) -> dict:
@@ -472,8 +486,10 @@ def test_warm_encodings_match_cold_ones_on_every_small_shape(monkeypatch):
         warm = [encode(inst, props, options) for props, options in cases]
         space = enumeration.situation_space(inst)
         for mode in ("full", "diffusion"):
-            assert list(space.sp_triples(mode)) == _dict_built_sp_triples(space, mode)
+            flat = sorted((t, d, p) for t, p, ds in space.sp_rows(mode) for d in ds if d != t)
+            assert flat == _dict_built_sp_triples(space, mode)
         for csp, (props, options) in zip(warm, cases):
+            assert csp.constraint_counts["sp_preference"] == len(csp.sp_constraints)
             enumeration._SPACES.clear()
             cold = encode(inst, props, options)
             # every field the dump reads, compared as is; the dump itself and
@@ -495,7 +511,7 @@ def test_encodings_share_blocks_but_not_domains(monkeypatch):
     first.domains[:] = [1] * len(first.domains)
     second = encode(inst, ["SP", "PE", "AN-S", "VR-2"])
     assert second.domains == expected and second.domains is not first.domains
-    assert second.sp_constraints is first.sp_constraints
+    assert second.sp_rows is first.sp_rows
     assert second.equalities is first.equalities
     assert second.keys is first.keys
     assert [c.groups for c in second.vr_constraints] == [c.groups for c in first.vr_constraints]
@@ -522,15 +538,17 @@ def _count_builds(monkeypatch, *names: str) -> dict:
 
 def test_blocks_are_built_once_per_space_and_key(monkeypatch):
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    builds = _count_builds(monkeypatch, "sp_triples", "equalities", "domains")
+    builds = _count_builds(monkeypatch, "deviation_vars", "sp_rows", "equalities", "domains")
     inst = make_chain(3, 3)
     for column in ("AN", "AN-S", "AN-D", "AN-SD"):
         for d in range(4):
             encode(inst, ["SP", "PE", column] + ([f"VR-{d}"] if d else []))
     encode(inst, ["SP-D", "AN-S", "AN-D"], CspOptions(depth1_hull=True))
+    # one block of deviation groups per voter, read by both SP modes and by relevance
     assert builds == {
-        ("sp_triples", ("full",)): 1,
-        ("sp_triples", ("diffusion",)): 1,
+        **{("deviation_vars", (v,)): 1 for v in inst.graph.voters},
+        ("sp_rows", ("full",)): 1,
+        ("sp_rows", ("diffusion",)): 1,
         **{("equalities", (AnonymityVariant(c),)): 1 for c in ("AN", "AN-S", "AN-D", "AN-SD")},
         ("domains", (True, False)): 1,
         ("domains", (False, True)): 1,
@@ -539,7 +557,7 @@ def test_blocks_are_built_once_per_space_and_key(monkeypatch):
 
 def test_an_evicted_space_rebuilds_its_blocks(monkeypatch):
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    builds = _count_builds(monkeypatch, "sp_triples")
+    builds = _count_builds(monkeypatch, "sp_rows")
     inst = make_chain(3, 3)
     before = encode(inst, ["SP", "PE"])
     space = enumeration.situation_space(inst)
@@ -547,9 +565,9 @@ def test_an_evicted_space_rebuilds_its_blocks(monkeypatch):
         enumeration.situation_space(make_chain(3, points))
     assert enumeration.situation_space(inst) is not space
     after = encode(inst, ["SP", "PE"])
-    assert builds == {("sp_triples", ("full",)): 2}
-    assert after.sp_constraints == before.sp_constraints
-    assert after.sp_constraints is not before.sp_constraints
+    assert builds == {("sp_rows", ("full",)): 2}
+    assert after.sp_rows == before.sp_rows
+    assert after.sp_rows is not before.sp_rows
 
 
 # Differential test: random CSPs over the 12 situations of a two-voter chain,
@@ -608,6 +626,19 @@ def _synthetic_csps(draw) -> Csp:
         )
     )
     model = draw(st.sampled_from(_PREFERENCES))
+    # the triples as SP rows: those of one (t, p) in rows of 1 to 3
+    # deviations, some of which list t itself, in any order
+    by_head: dict[tuple[int, int], list[int]] = {}
+    for t, d, p in sorted(sp):
+        by_head.setdefault((t, p), []).append(d)
+    rows = []
+    for (t, p), ds in by_head.items():
+        while ds:
+            size = draw(st.integers(1, 3))
+            row, ds = ds[:size], ds[size:]
+            if draw(st.booleans()):
+                row.insert(draw(st.integers(0, len(row))), t)
+            rows.append((t, p, tuple(row)))
     return Csp(
         instance=dataclasses.replace(_CHAIN2, preference_model=model),
         properties=(),
@@ -615,7 +646,7 @@ def _synthetic_csps(draw) -> Csp:
         keys=_CHAIN2_KEYS,
         domains=domains,
         equalities=tuple(sorted(equalities)),
-        sp_constraints=tuple(sorted(sp)),
+        sp_rows=tuple(draw(st.permutations(rows))),
         vr_constraints=tuple(vr),
     )
 
