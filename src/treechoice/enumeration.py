@@ -128,9 +128,7 @@ def others_assignments(
 ) -> Iterator[dict[VoterId, ReportedType]]:
     """Joint reports of everyone except ``voter``, in lexicographic order."""
     others = [v for v in instance.graph.voters if v != voter]
-    size = profile_space_size(instance) // instance.report_space_size(voter)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(size, budget, what="profile enumeration")
+    deviation_space_size(instance, {voter: 1}, budget=budget, what="profile enumeration")
     for combo in itertools.product(*(instance.report_space(v) for v in others)):
         yield dict(zip(others, combo))
 
@@ -178,18 +176,31 @@ def deviation_space_size(
     ``own_sizes[voter]``, the reports it is tried with in each of them.
     """
     total = profile_space_size(instance)
-    size = sum(total // instance.report_space_size(v) * own for v, own in own_sizes.items())
+    size = sum(total // instance.report_sizes[v] * own for v, own in own_sizes.items())
     if budget is not None and size > budget:
         raise BudgetExceededError(size, budget, what=what)
     return size
 
 
 SPACE_CACHE_SIZE = 4  # shapes kept; a peak sweep visits one shape's assignments in a row
-TABLES_PER_SPACE = 4  # rule tables kept per shape
+
+
+def _lru(cache: OrderedDict, key, size: int, build):
+    """``cache[key]``, built by ``build()`` if missing; ``cache`` keeps the ``size`` keys used last."""
+    out = cache.pop(key, None)
+    if out is None:
+        out = build()
+    cache[key] = out
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return out
 
 
 def _memoized(build):
-    """A ``SituationSpace`` method computed once per space and arguments, and evicted with the space."""
+    """A method computed once per object and arguments, kept in its ``_memo`` and evicted with it.
+
+    ``SituationSpace`` and ``properties.RuleTable`` memoize this way.
+    """
 
     @functools.wraps(build)
     def method(self, *args):
@@ -270,10 +281,10 @@ class SituationSpace:
       constraints of mode ``full`` or ``diffusion`` as rows over those
       groups; and ``relevance_groups(voter)``, the voter's VR groups.
     - ``grid`` is the grid and ``points`` the number of its points.
-    - ``tables`` maps a rule and a preference model to the rule's outcome
-      per situation; the checkers fill it (``properties.rule_table``), at
-      most ``TABLES_PER_SPACE`` entries. Each table also holds the
-      checkers' memoized scans of it, so they are evicted together.
+    - ``tables`` maps a rule and a preference model to the rule's table,
+      its outcome per situation (``properties.RuleTable``), which
+      ``properties.rule_table`` fills and bounds. The checkers' scan units
+      are memoized on each table, so they are evicted with it.
 
     Deviation contexts, classes, orbits, the key order, the spelled strings
     and the encoding blocks are computed on first use and kept on the space
@@ -362,7 +373,7 @@ class SituationSpace:
         self.points = points
         self.tables: OrderedDict = OrderedDict()
         self.strides = strides
-        self._memo: dict[tuple, object] = {}  # what the ``_memoized`` methods computed, by name and arguments
+        self._memo = {}  # what the ``_memoized`` methods computed, by name and arguments
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
         """The profile at ``position`` in ``enumerate_profiles`` order."""
@@ -611,12 +622,4 @@ def situation_space(instance: Instance, *, budget: int | None = DEFAULT_PROFILE_
     names it before anything is built.
     """
     profile_space_size(instance, budget=budget)
-    shape = instance.shape_key
-    space = _SPACES.get(shape)
-    if space is None:
-        space = _SPACES[shape] = SituationSpace(instance)
-        if len(_SPACES) > SPACE_CACHE_SIZE:
-            _SPACES.popitem(last=False)
-    else:
-        _SPACES.move_to_end(shape)
-    return space
+    return _lru(_SPACES, instance.shape_key, SPACE_CACHE_SIZE, lambda: SituationSpace(instance))

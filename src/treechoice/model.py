@@ -398,9 +398,19 @@ class Instance:
     # Computed once per instance and kept outside the fields, so eq and repr
     # are unchanged; the fields are frozen, so neither can go stale.
     @functools.cached_property
+    def report_sizes(self) -> Mapping[VoterId, int]:
+        """Per voter, ``report_space_size(voter)``."""
+        return MappingProxyType({v: self.report_space_size(v) for v in self.graph.voters})
+
+    @functools.cached_property
     def profile_count(self) -> int:
         """The number of joint report profiles: the product of the report space sizes."""
-        return math.prod(self.report_space_size(v) for v in self.graph.voters)
+        return math.prod(self.report_sizes.values())
+
+    @functools.cached_property
+    def peak_indices(self) -> tuple[int, ...]:
+        """Per voter, in ``graph.voters`` order, the grid index of its true peak."""
+        return tuple([self.grid.index(self.true_peaks[v]) for v in self.graph.voters])
 
     @functools.cached_property
     def shape_key(self) -> tuple:

@@ -16,23 +16,25 @@ report. Rules that compare equal share one table. The table layer projects
 the profile count against the checker's budget on every read, cached or
 not, and SP and VR project their deviation counts before that.
 
-A checker is a fold over scan units, each memoized on the table it scans
-(``RuleTable.scans``) and keyed by exactly what it reads:
+A checker is a fold over scan units, each a ``_memoized`` method of the
+table it scans (``RuleTable``), keyed by its arguments, which are exactly
+what it reads:
 
-- SP and SP-D: per voter, the mode, the ambiguity rule and the index of the
-  voter's truthful report, which fixes its true peak and no other;
-- VR-d: per voter in scope, nothing more, so every level shares the unit;
-- AN, AN-S, AN-D, AN-SD: the variant;
-- PE: nothing more for its index of the situations outside their
-  participants' peak hull, and the true peaks' grid indices for the first
-  truthful profile in one of them, read off the index;
-- ONTO and DEPTH1-HULL: nothing more.
+- ``sp``, for SP and SP-D: per voter, the preference model, the ambiguity
+  rule, the index of the voter's truthful report, which fixes its true peak
+  and no other, and the block of reports the mode tries;
+- ``vr``, for VR-d: per voter in scope, so every level shares the unit;
+- ``an``, for AN, AN-S, AN-D and AN-SD: the variant;
+- ``pe``, for PE: the true peaks' grid indices, to find the first truthful
+  profile in a situation of ``outside(False)``, the situations outside
+  their participants' peak hull;
+- ``outside(True)`` for DEPTH1-HULL, and ``onto`` for ONTO.
 
 A unit holds ints only: counts, positions and indices. Hulls are compared
 as grid indices the space computes once (``SituationSpace.hulls``).
-Witnesses are spelled from a unit on every call, from strings the space
-formats once (``SituationSpace.profile_json``) into new dicts and lists,
-so what a caller receives is its own.
+Witnesses are spelled from a unit on every call, into new dicts and lists,
+so what a caller receives is its own. Their strings are formatted once per
+space (``SituationSpace.spelled``) and once per table (``RuleTable.spelled``).
 """
 
 from __future__ import annotations
@@ -40,15 +42,17 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import (
     AnonymityVariant,
     DEFAULT_PROFILE_BUDGET,
-    TABLES_PER_SPACE,
     SituationSpace,
+    _lru,
+    _memoized,
     deviation_space_size,
     situation_space,
 )
@@ -71,6 +75,8 @@ PASS_IS_GRID_RELATIVE = "PassIsGridRelative"
 
 PROPERTY_TOKENS = ("SP", "SP-D", "PE", "AN", "AN-S", "AN-D", "AN-SD", "ONTO", "DEPTH1-HULL")
 CHECK_ONLY = ("ONTO", "DEPTH1-HULL")  # checkable properties the complete search cannot encode
+
+TABLES_PER_SPACE = 4  # rule tables kept per shape
 
 _VR_RE = re.compile(r"VR-([0-9]+)")
 
@@ -197,27 +203,146 @@ class _WatchedProfile(Mapping):
         return voter in self._rows
 
 
-@dataclass(frozen=True)
 class RuleTable:
     """One rule on one situation space: its outcome in situation ``s`` is ``values[outcomes[s]]``.
 
     ``values`` is the grid, extended in order by any off-grid outcome the
-    rule returns. ``scans`` memoizes the checkers' scan units on this table,
-    each keyed by exactly what it reads; a unit is a tuple of ints, never a
-    report or a witness, and is evicted with the table.
+    rule returns. The checkers' scan units are ``_memoized`` methods, each
+    keyed by its arguments; a unit is a tuple of ints, never a report or a
+    witness, and is evicted with the table. The space holds its tables, so
+    a table holds its space by a weak proxy: a space and its tables form no
+    reference cycle, and an evicted space is freed as soon as it is dropped.
     """
 
-    values: tuple[Fraction, ...]
-    outcomes: tuple[int, ...]
-    scans: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, space: SituationSpace, values: tuple[Fraction, ...], outcomes: tuple[int, ...]) -> None:
+        self.space = weakref.proxy(space)
+        self.values = values
+        self.outcomes = outcomes
+        self._memo = {}  # what the ``_memoized`` methods computed, by name and arguments
 
+    @_memoized
+    def spelled(self) -> list[str]:
+        """``values`` spelled by ``format_rational``, for the outcomes a witness cites."""
+        return [format_rational(q) for q in self.values]
 
-def _unit(table: RuleTable, key, scan, *args) -> tuple[int, ...]:
-    """``scan(*args)``, computed once per table and key."""
-    unit = table.scans.get(key)
-    if unit is None:
-        unit = table.scans[key] = scan(*args)
-    return unit
+    def _first_rejected(
+        self, voter: VoterId, base: int, tried: Sequence[int], accepts: Sequence[int]
+    ) -> tuple[int, int, int, int, int]:
+        """The voter's first report whose outcome report ``base``'s rejects, for SP and VR.
+
+        In each of the voter's deviation groups, in order, the reports ``tried``
+        are compared with report ``base``: outcome ``y`` is accepted against
+        ``x`` when bit ``y`` of ``accepts[x]`` is set. Returns (reports tried up
+        to and including the first rejected one, its group's position, its
+        report index, ``x``, ``y``), or (every report tried, -1, -1, -1, -1).
+        """
+        outcomes = self.outcomes
+        examined = 0
+        for position, group in self.space.deviation_groups(voter):
+            x = outcomes[group[base]]
+            allowed = accepts[x]
+            for k, r in enumerate(tried):
+                y = outcomes[group[r]]
+                if not allowed >> y & 1:
+                    return examined + k + 1, position, r, x, y
+            examined += len(tried)
+        return examined, -1, -1, -1, -1
+
+    @_memoized
+    def sp(
+        self, model: PreferenceModel, ambiguous_is_violation: bool, voter: VoterId, truth_at: int, block: int
+    ) -> tuple[int, int, int, int, int]:
+        """The SP unit of one voter with one true type: the first profitable deviation, if any.
+
+        The deviations tried are the reports in ``truth_at``'s block of ``block``
+        consecutive report indices, other than ``truth_at`` itself.
+        """
+        forward, _ = preference_masks(self.values, model, ambiguous_is_violation)
+        start = truth_at - truth_at % block
+        tried = [r for r in range(start, start + block) if r != truth_at]
+        accepts = forward[self.values.index(self.space.reports[voter][truth_at].peak)]
+        return self._first_rejected(voter, truth_at, tried, accepts)
+
+    @_memoized
+    def vr(self, voter: VoterId) -> tuple[int, int, int, int, int]:
+        """The VR unit of one voter, shared by every VR level: two of its reports with different outcomes."""
+        equal = [1 << x for x in range(len(self.values))]
+        return self._first_rejected(voter, 0, range(len(self.space.reports[voter])), equal)
+
+    @_memoized
+    def pe(self, peaks: tuple[int, ...]) -> tuple[int, int]:
+        """The PE unit of one true-peak assignment: (profiles examined, first failing position or -1).
+
+        The truthful profiles are those where voter ``k`` reports peak
+        ``peaks[k]``, in ``enumerate_profiles`` order: each profile's rank among
+        them reads the voters' invitation masks as digits, voter 0's the most
+        significant. A situation outside its participants' hull whose
+        participants report those peaks is first reached where every other
+        voter's mask is 0.
+        """
+        space = self.space
+        ns, strides = space.invitations, space.strides
+        first = None
+        for sid in self.outside(False):
+            rank = position = 0
+            for k, (r, n) in enumerate(zip(space.digits[sid], ns)):
+                if r < 0:  # not taking part: its true peak, inviting no one
+                    r = peaks[k] * n
+                elif r // n != peaks[k]:
+                    break
+                rank = rank * n + r % n
+                position += r * strides[k]
+            else:
+                if first is None or rank < first[0]:
+                    first = rank, position
+        if first is None:
+            return math.prod(ns), -1
+        return first[0] + 1, first[1]
+
+    @_memoized
+    def outside(self, direct: bool) -> tuple[int, ...]:
+        """The situations whose outcome lies outside their hull, ascending.
+
+        The hull is the direct children's (``space.direct_hulls``) if
+        ``direct``, else the participants' (``space.hulls``). ``values`` is
+        sorted and holds the grid, so an outcome and a hull compare as
+        indices into it.
+        """
+        space = self.space
+        at = [self.values.index(q) for q in space.grid]
+        lows, highs = space.direct_hulls if direct else space.hulls
+        rows = enumerate(zip(self.outcomes, lows, highs))
+        return tuple([sid for sid, (x, lo, hi) in rows if not at[lo] <= x <= at[hi]])
+
+    @_memoized
+    def onto(self) -> tuple[int, ...]:
+        """The ONTO unit: (profiles examined, then the grid indices no situation hits, ascending)."""
+        space = self.space
+        wanted = set(space.grid)
+        for sid, k in enumerate(self.outcomes):
+            wanted.discard(self.values[k])
+            if not wanted:
+                return (space.starts[sid] + 1,)
+        return (len(space.profile_sids), *sorted(space.grid.index(q) for q in wanted))
+
+    @_memoized
+    def an(self, variant: AnonymityVariant) -> tuple[int, int, int]:
+        """The AN unit of one variant: the first situation a peak permutation moves, or -1s.
+
+        That situation is the least member of the first orbit on which the
+        outcome is not constant. Returns (the position where it first appears,
+        the situation, the index in ``space.permutations`` of its first
+        permutation that moves the outcome).
+        """
+        space, outcomes = self.space, self.outcomes
+        for orbit in space.orbits(variant):
+            sid = orbit[0]
+            base = outcomes[sid]
+            if any(outcomes[other] != base for other in orbit):
+                for k, (_, _, _, other) in enumerate(space.permutations(sid, variant)):
+                    if outcomes[other] != base:
+                        return space.starts[sid], sid, k
+        return -1, -1, -1
 
 
 def rule_table(
@@ -229,23 +354,27 @@ def rule_table(
     """The instance's situation space and the rule's table on it, tabulated once.
 
     Tables are keyed by the rule and the preference model, so rules that
-    compare equal share one. ``budget`` bounds the profile count, as in
-    ``situation_space``. Tabulation shows the rule a ``PeakBlindInstance``.
-    It evaluates the rule once per situation, where the situation first
-    appears, on a ``_WatchedProfile``. Where that evaluation read a
-    non-participant's report, it evaluates the rule on every later profile
-    of the situation too, and raises ConfigurationError naming two profiles
-    when they give two outcomes. Positions are visited in order: only each
-    situation's first (``space.starts``) until one strays, every position
-    from there on. For a deterministic rule that is the table, and the
-    error, that evaluating every profile gives.
+    compare equal share one; a space keeps the ``TABLES_PER_SPACE`` used
+    last. ``budget`` bounds the profile count, as in ``situation_space``.
     """
     space = situation_space(instance, budget=budget)
     key = (scf, instance.preference_model)
-    table = space.tables.get(key)
-    if table is not None:
-        space.tables.move_to_end(key)
-        return space, table
+    return space, _lru(space.tables, key, TABLES_PER_SPACE, lambda: _tabulate(scf, instance, space))
+
+
+def _tabulate(scf: SocialChoiceFunction, instance: Instance, space: SituationSpace) -> RuleTable:
+    """The rule's table on the space, from as few evaluations as the rule allows.
+
+    Tabulation shows the rule a ``PeakBlindInstance``. It evaluates the rule
+    once per situation, where the situation first appears, on a
+    ``_WatchedProfile``. Where that evaluation read a non-participant's
+    report, it evaluates the rule on every later profile of the situation
+    too, and raises ConfigurationError naming two profiles when they give
+    two outcomes. Positions are visited in order: only each situation's
+    first (``space.starts``) until one strays, every position from there
+    on. For a deterministic rule that is the table, and the error, that
+    evaluating every profile gives.
+    """
     view = PeakBlindInstance(instance, scf.name)
     rows = {v: (k, space.reports[v]) for k, v in enumerate(instance.graph.voters)}
     sids = space.profile_sids
@@ -278,60 +407,7 @@ def rule_table(
                 )
     values = tuple(sorted(set(instance.grid).union(outs)))
     index_of = {q: k for k, q in enumerate(values)}
-    table = RuleTable(values, tuple(index_of[out] for out in outs))
-    space.tables[key] = table
-    if len(space.tables) > TABLES_PER_SPACE:
-        space.tables.popitem(last=False)
-    return space, table
-
-
-def _first_rejected(
-    space: SituationSpace,
-    outcomes: tuple[int, ...],
-    voter: VoterId,
-    base: int,
-    tried: Sequence[int],
-    accepts: Sequence[int],
-) -> tuple[int, int, int, int, int]:
-    """The scan unit of SP and VR: the voter's first report whose outcome report ``base``'s rejects.
-
-    In each of the voter's deviation groups, in order, the reports ``tried``
-    are compared with report ``base``: outcome ``y`` is accepted against
-    ``x`` when bit ``y`` of ``accepts[x]`` is set. Returns (reports tried up
-    to and including the first rejected one, its group's position, its
-    report index, ``x``, ``y``), or (every report tried, -1, -1, -1, -1).
-    """
-    examined = 0
-    for position, group in space.deviation_groups(voter):
-        x = outcomes[group[base]]
-        allowed = accepts[x]
-        for k, r in enumerate(tried):
-            y = outcomes[group[r]]
-            if not allowed >> y & 1:
-                return examined + k + 1, position, r, x, y
-        examined += len(tried)
-    return examined, -1, -1, -1, -1
-
-
-def _sp_scan(
-    space: SituationSpace,
-    table: RuleTable,
-    model: PreferenceModel,
-    ambiguous_is_violation: bool,
-    voter: VoterId,
-    truth_at: int,
-    block: int,
-) -> tuple[int, int, int, int, int]:
-    """The SP unit of one voter with one true type: the first profitable deviation, if any.
-
-    The deviations tried are the reports in ``truth_at``'s block of ``block``
-    consecutive report indices, other than ``truth_at`` itself.
-    """
-    forward, _ = preference_masks(table.values, model, ambiguous_is_violation)
-    start = truth_at - truth_at % block
-    tried = [r for r in range(start, start + block) if r != truth_at]
-    accepts = forward[table.values.index(space.reports[voter][truth_at].peak)]
-    return _first_rejected(space, table.outcomes, voter, truth_at, tried, accepts)
+    return RuleTable(space, values, tuple(index_of[out] for out in outs))
 
 
 def check_sp(
@@ -358,34 +434,32 @@ def check_sp(
     graph = instance.graph
     model = instance.preference_model
 
-    own = {v: 1 + instance.report_space_size(v, diffusion_only=diffusion) for v in graph.voters}
+    points = len(instance.grid)
+    own = {v: 1 + (n // points if diffusion else n) for v, n in instance.report_sizes.items()}
     deviation_space_size(instance, own, budget=budget)
 
     space, table = rule_table(scf, instance, budget=budget)
     values = table.values
     examined = 0
-    for k, voter in enumerate(graph.voters):
+    for k, (voter, peak) in enumerate(zip(graph.voters, instance.peak_indices)):
         n = space.invitations[k]
-        truth_at = instance.grid.index(instance.true_peaks[voter]) * n + n - 1  # every child invited
+        truth_at = peak * n + n - 1  # every child invited
         block = n if diffusion else len(space.reports[voter])  # diffusion keeps the true peak
-        key = (prop, ambiguous_is_violation, voter, truth_at)
-        count, position, r, x, y = _unit(
-            table, key, _sp_scan, space, table, model, ambiguous_is_violation, voter, truth_at, block
-        )
+        count, position, r, x, y = table.sp(model, ambiguous_is_violation, voter, truth_at, block)
         examined += count
         if position >= 0:
             # ``position`` is the context's profile where the voter reports its first report
             stride = space.strides[k]
-            true_peak = space.reports[voter][truth_at].peak
+            spelled = table.spelled()
             witness = {
                 "voter": voter,
-                "true_peak": format_rational(true_peak),
+                "true_peak": space.spelled()[0][peak],
                 "mode": mode,
                 "truthful_profile": space.profile_json(position + truth_at * stride),
                 "deviation_profile": space.profile_json(position + r * stride),
-                "truthful_outcome": format_rational(values[x]),
-                "deviation_outcome": format_rational(values[y]),
-                "preference_verdict": compare(true_peak, values[x], values[y], model).value,
+                "truthful_outcome": spelled[x],
+                "deviation_outcome": spelled[y],
+                "preference_verdict": compare(instance.true_peaks[voter], values[x], values[y], model).value,
             }
             return CheckReport(prop, "Fail", witness, examined, EXACT_ON_GRID)
     return CheckReport(prop, "Pass", None, examined, PASS_IS_GRID_RELATIVE)
@@ -407,63 +481,19 @@ def check_pareto(
     hull is the situation's.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    grid, voters = instance.grid, instance.graph.voters
-    peaks = tuple(grid.index(instance.true_peaks[v]) for v in voters)
-    examined, position = _unit(table, ("PE", peaks), _pe_scan, space, table, peaks)
+    examined, position = table.pe(instance.peak_indices)
     if position < 0:
         return CheckReport("PE", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
     sid = space.profile_sids[position]
     lows, highs = space.hulls
+    grid = space.spelled()[0]
     witness = {
         "profile": space.profile_json(position),
-        "participating": [v for v, r in zip(voters, space.digits[sid]) if r >= 0],
-        "hull": [format_rational(grid[lows[sid]]), format_rational(grid[highs[sid]])],
-        "outcome": format_rational(table.values[table.outcomes[sid]]),
+        "participating": [v for v, r in zip(instance.graph.voters, space.digits[sid]) if r >= 0],
+        "hull": [grid[lows[sid]], grid[highs[sid]]],
+        "outcome": table.spelled()[table.outcomes[sid]],
     }
     return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
-
-
-def _pe_scan(space: SituationSpace, table: RuleTable, peaks: tuple[int, ...]) -> tuple[int, int]:
-    """The PE unit of one true-peak assignment: (profiles examined, first failing position or -1).
-
-    The truthful profiles are those where voter ``k`` reports peak
-    ``peaks[k]``, in ``enumerate_profiles`` order: each profile's rank among
-    them reads the voters' invitation masks as digits, voter 0's the most
-    significant. A situation of the PE index whose participants report
-    those peaks is first reached where every other voter's mask is 0.
-    """
-    ns, strides = space.invitations, space.strides
-    first = None
-    for sid in _unit(table, "PE", _outside, space.grid, space.hulls, table):
-        rank = position = 0
-        for k, (r, n) in enumerate(zip(space.digits[sid], ns)):
-            if r < 0:  # not taking part: its true peak, inviting no one
-                r = peaks[k] * n
-            elif r // n != peaks[k]:
-                break
-            rank = rank * n + r % n
-            position += r * strides[k]
-        else:
-            if first is None or rank < first[0]:
-                first = rank, position
-    if first is None:
-        return math.prod(ns), -1
-    return first[0] + 1, first[1]
-
-
-def _outside(
-    grid: tuple[Fraction, ...], hulls: tuple[list[int], list[int]], table: RuleTable
-) -> tuple[int, ...]:
-    """The situations whose outcome lies outside their grid-index hull in ``hulls``, ascending.
-
-    Over the participants' hulls this is the PE index, memoized under
-    ``"PE"``. ``table.values`` is sorted and holds the grid, so an outcome
-    and a hull compare as indices into it.
-    """
-    at = [table.values.index(q) for q in grid]
-    lows, highs = hulls
-    rows = enumerate(zip(table.outcomes, lows, highs))
-    return tuple([sid for sid, (x, lo, hi) in rows if not at[lo] <= x <= at[hi]])
 
 
 def find_dominating_point(
@@ -507,22 +537,11 @@ def check_ontoness(
     so that profile is where the situation that hits it first appears.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    grid = instance.grid
-    examined, *unhit = _unit(table, "ONTO", _onto_scan, space, table, grid)
+    examined, *unhit = table.onto()
     if not unhit:
         return CheckReport("ONTO", "Pass", None, examined, PASS_IS_GRID_RELATIVE)
-    witness = {"unhit": [format_rational(grid[i]) for i in unhit]}
+    witness = {"unhit": [space.spelled()[0][i] for i in unhit]}
     return CheckReport("ONTO", "Fail", witness, examined, EXACT_ON_GRID)
-
-
-def _onto_scan(space: SituationSpace, table: RuleTable, grid: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The ONTO unit: (profiles examined, then the grid indices no situation hits, ascending)."""
-    wanted = set(grid)
-    for sid, k in enumerate(table.outcomes):
-        wanted.discard(table.values[k])
-        if not wanted:
-            return (space.starts[sid] + 1,)
-    return (len(space.profile_sids), *sorted(grid.index(q) for q in wanted))
 
 
 def check_anonymity(
@@ -541,41 +560,22 @@ def check_anonymity(
     appears.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    position, sid, k = _unit(table, variant, _an_scan, space, table.outcomes, variant)
+    position, sid, k = table.an(variant)
     if position < 0:
         return CheckReport(variant.value, "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
     key, members, _, other = next(itertools.islice(space.permutations(sid, variant), k, None))
     # the permuted situation first appears where the same voters take part and every other one
     # reports its first report, as in the situation's own first profile
+    spelled = table.spelled()
     witness = {
         "profile": space.profile_json(position),
         "permuted_profile": space.profile_json(space.starts[other]),
         "class_key": list(key),
         "class_members": [instance.graph.voters[m] for m in members],
-        "outcome": format_rational(table.values[table.outcomes[sid]]),
-        "permuted_outcome": format_rational(table.values[table.outcomes[other]]),
+        "outcome": spelled[table.outcomes[sid]],
+        "permuted_outcome": spelled[table.outcomes[other]],
     }
     return CheckReport(variant.value, "Fail", witness, position + 1, EXACT_ON_GRID)
-
-
-def _an_scan(
-    space: SituationSpace, outcomes: tuple[int, ...], variant: AnonymityVariant
-) -> tuple[int, int, int]:
-    """The AN unit of one variant: the first situation a peak permutation moves, or -1s.
-
-    That situation is the least member of the first orbit on which the
-    outcome is not constant. Returns (the position where it first appears,
-    the situation, the index in ``space.permutations`` of its first
-    permutation that moves the outcome).
-    """
-    for orbit in space.orbits(variant):
-        sid = orbit[0]
-        base = outcomes[sid]
-        if any(outcomes[other] != base for other in orbit):
-            for k, (_, _, _, other) in enumerate(space.permutations(sid, variant)):
-                if outcomes[other] != base:
-                    return space.starts[sid], sid, k
-    return -1, -1, -1
 
 
 def check_voter_relevance(
@@ -600,17 +600,17 @@ def check_voter_relevance(
     graph = instance.graph
     scope = [v for v in graph.voters if 1 <= graph.true_depth(v) <= d]
 
-    own = {v: instance.report_space_size(v) for v in scope}
+    own = {v: instance.report_sizes[v] for v in scope}
     deviation_space_size(instance, own, budget=budget, what="relevance enumeration")
 
     examined = 0
     witnesses: dict[VoterId, dict] = {}
     if scope:
         space, table = rule_table(scf, instance, budget=budget)
-        values = table.values
+        spelled = table.spelled()
         grid_types = list(space.spelled()[0])
     for voter in scope:
-        count, position, r, a, b = _unit(table, ("VR", voter), _vr_scan, space, table, voter)
+        count, position, r, a, b = table.vr(voter)
         examined += count
         if position < 0:
             witness = {
@@ -625,16 +625,10 @@ def check_voter_relevance(
             "others": space.profile_json(position, omit=voter),
             "report_a": space.report_json(k, 0),
             "report_b": space.report_json(k, r),
-            "outcome_a": format_rational(values[a]),
-            "outcome_b": format_rational(values[b]),
+            "outcome_a": spelled[a],
+            "outcome_b": spelled[b],
         }
     return CheckReport(prop, "Pass", {"voters": witnesses}, examined, EXACT_ON_GRID)
-
-
-def _vr_scan(space: SituationSpace, table: RuleTable, voter: VoterId) -> tuple[int, int, int, int, int]:
-    """The VR unit of one voter, shared by every VR level: two of its reports with different outcomes."""
-    equal = [1 << x for x in range(len(table.values))]
-    return _first_rejected(space, table.outcomes, voter, 0, range(len(space.reports[voter])), equal)
 
 
 def check_depth1_hull(
@@ -650,17 +644,17 @@ def check_depth1_hull(
     appears.
     """
     space, table = rule_table(scf, instance, budget=budget)
-    grid = instance.grid
-    outside = _unit(table, "DEPTH1-HULL", _outside, grid, space.direct_hulls, table)
+    outside = table.outside(True)
     if not outside:
         return CheckReport("DEPTH1-HULL", "Pass", None, len(space.profile_sids), PASS_IS_GRID_RELATIVE)
     sid = outside[0]
     position = space.starts[sid]
     lows, highs = space.direct_hulls
+    grid = space.spelled()[0]
     witness = {
         "profile": space.profile_json(position),
-        "depth1_hull": [format_rational(grid[lows[sid]]), format_rational(grid[highs[sid]])],
-        "outcome": format_rational(table.values[table.outcomes[sid]]),
+        "depth1_hull": [grid[lows[sid]], grid[highs[sid]]],
+        "outcome": table.spelled()[table.outcomes[sid]],
     }
     return CheckReport("DEPTH1-HULL", "Fail", witness, position + 1, EXACT_ON_GRID)
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
+import gc
 import json
+import weakref
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ from treechoice import (
     check_pareto,
     check_sp,
     check_voter_relevance,
+    encode,
     enumerate_profiles,
     parse_scf,
     participating_voters,
@@ -285,9 +289,10 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
         for rule in rules
     }
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    reads = dict.fromkeys(["deviation_groups", "orbits", "_outside", "SituationSpace"], 0)
+    reads = dict.fromkeys(["deviation_groups", "orbits", "outside", "SituationSpace"], 0)
 
     def counting(name, call):
+        @functools.wraps(call)
         def counted(*args):
             reads[name] += 1
             return call(*args)
@@ -296,7 +301,9 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
 
     for method in ("deviation_groups", "orbits"):
         monkeypatch.setattr(SituationSpace, method, counting(method, getattr(SituationSpace, method)))
-    monkeypatch.setattr(properties, "_outside", counting("_outside", properties._outside))
+    # count the builds of the memoized ``RuleTable.outside``, not its reads
+    build = properties.RuleTable.outside.__wrapped__
+    monkeypatch.setattr(properties.RuleTable, "outside", enumeration._memoized(counting("outside", build)))
     monkeypatch.setattr(enumeration, "SituationSpace", counting("SituationSpace", SituationSpace))
     counts = {}
     for name, run in sweeps.items():
@@ -313,7 +320,7 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     assert counts["SP"]["SituationSpace"] == 1  # the first sweep walks the space, hulls and all
     unread = dict.fromkeys(reads, 0)
     assert counts["AN"] == {**unread, "orbits": len(AnonymityVariant) * tables}
-    assert counts["PE"] == counts["DEPTH1-HULL"] == {**unread, "_outside": tables}
+    assert counts["PE"] == counts["DEPTH1-HULL"] == {**unread, "outside": tables}
 
 
 def test_witnesses_are_built_fresh_on_every_call():
@@ -622,6 +629,25 @@ def test_relevance_with_empty_scope_never_tabulates():
     assert all(scf is not rule for scf, _ in situation_space(inst).tables)
     with pytest.raises(RuntimeError, match="evaluated"):
         check_voter_relevance(rule, inst, 1)
+
+
+def test_an_evicted_space_is_freed_without_the_cyclic_collector(monkeypatch):
+    # a table holds its space by a weak proxy, so a space and its tables form
+    # no reference cycle: evicting the space frees it by reference counting
+    monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
+    inst = make_fig2()
+    gc.disable()
+    try:
+        for rule in (ParticipantMedian(), FixedOutcome(F(0))):
+            for token in (*properties.PROPERTY_TOKENS, "VR-1", "VR-2"):
+                properties.run_check(rule, inst, token)
+        encode(inst, ["SP", "PE", "AN", "AN-SD", "VR-2"])
+        space = weakref.ref(situation_space(inst))
+        for points in range(2, SPACE_CACHE_SIZE + 2):  # as many other shapes as the cache keeps
+            situation_space(make_chain(1, points))
+        assert space() is None
+    finally:
+        gc.enable()
 
 
 def test_space_cache_is_bounded():
