@@ -16,12 +16,14 @@ timeout is reported as inconclusive, never as Unsat.
 integers: a domain is a bitmask over grid indices, and the SP constraints
 come as rows, one per deviation group and true peak, that name the peak by
 grid index. ``solve`` maps each group through the anonymity merge once and
-works on the same integers; it reads preferences from one table filled by
-the exact ``compare``, so Fractions appear only at the boundary: in
-situation keys and in Sat models. Its kernel reads tables: an arc revision
-is one lookup in a memo of supported values filled from that table, and the
-smallest-domain variable is the top of a lazy heap rather than the result
-of a scan.
+folds the rows into stars, one per merged truthful variable and peak, that
+hold its merged deviations; no triple is spelled out between ``encode`` and
+arc consistency. It works on the same integers and reads preferences from
+one table filled by the exact ``compare``, so Fractions appear only at the
+boundary: in situation keys and in Sat models. Its kernel reads tables: an
+arc revision is one lookup per star member in a memo of supported values
+filled from that table, and the smallest-domain variable is the top of a
+lazy heap rather than the result of a scan.
 """
 
 from __future__ import annotations
@@ -260,15 +262,22 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     """Complete backtracking over the merged situation variables.
 
     Anonymity equalities are merged by union-find, and each distinct
-    deviation group of the SP rows is mapped to the merged variables once;
-    the merged preference constraints, deduplicated and ascending, are what
-    arc consistency revises. Unary hulls are already in the domains, and the
+    deviation group of the SP rows is mapped to the merged variables once.
+    The rows are then folded into stars ``(t, p, ds)``, ascending by
+    ``(t, p)``: one per merged truthful variable ``t`` and peak index ``p``,
+    whose ``ds`` are the merged deviation variables other than ``t``, each
+    once. Arc consistency revises a star whole, ``t`` against every ``d`` and
+    every ``d`` against ``t``, from the domains as they were before the
+    revision, and forward checking walks a star from whichever side was
+    assigned; ``stats["sp_constraints"]`` counts the merged triples, the
+    stars' sizes summed. Unary hulls are already in the domains, and the
     relevance disjunctions are checked lazily on complete assignments.
     The next variable has the smallest domain, ties to the earliest in a
     fixed tie-break order; value order is ascending grid. ``order_seed``
     shuffles the tie-break and value orders (the verdict must not depend on
     it); ``timeout_s`` bounds merging, arc consistency and search alike, and
-    aborts with InconclusiveError.
+    aborts with InconclusiveError. Without it the clock is read only to time
+    the phases.
 
     Inside, a value is its index on the grid and a domain is a bitmask of
     indices. The preference constraints read one table built from the exact
@@ -277,8 +286,8 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     comparison counts as a violation, as in ``verify_model``'s replay. A Sat
     model is mapped back to grid Fractions.
 
-    The kernel looks its answers up. An arc revision reads the supported
-    values of one side from a per-peak memo keyed by the other side's
+    The kernel looks its answers up. A star revision reads the supported
+    values of each side from a per-peak memo keyed by the other side's
     domain (``_Supports``), and the next variable is the top of a lazy
     min-heap of (domain size, tie-break rank, variable): every domain change
     pushes an entry, stale entries are dropped when they surface, and the
@@ -289,11 +298,13 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     """
     t0 = time.monotonic()
     grid = csp.instance.grid
+    points = len(grid)
     n = len(csp.keys)
     nodes = 0
+    timed = timeout_s is not None
 
     def check_deadline(progress: dict) -> None:
-        if timeout_s is not None and time.monotonic() - t0 > timeout_s:
+        if time.monotonic() - t0 > timeout_s:
             raise InconclusiveError({**progress, "nodes_explored": nodes})
 
     parent = list(range(n))
@@ -305,7 +316,8 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         return x
 
     for a, b in csp.equalities:
-        check_deadline({})
+        if timed:
+            check_deadline({})
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -313,20 +325,35 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     # a class is represented by its smallest variable, so reps ascend
     rep_of = [find(i) for i in range(n)]
     reps = [i for i in range(n) if rep_of[i] == i]
-    dom = [(1 << len(grid)) - 1] * n
+    dom = [(1 << points) - 1] * n
     for r, mask in zip(rep_of, csp.domains):
         dom[r] &= mask
 
-    # the merged SP constraints, ascending; each distinct deviation group is
-    # mapped once, however many rows share it
-    mapped: dict[tuple[int, ...], list[int]] = {}
-    for _, _, ds in csp.sp_rows:
-        if ds not in mapped:
-            check_deadline({})
-            mapped[ds] = [rep_of[d] for d in ds]
-    sp = sorted(
-        dict.fromkeys([(rt, d, p) for t, p, ds in csp.sp_rows for rt in (rep_of[t],) for d in mapped[ds] if d != rt])
-    )
+    # the merged SP constraints as stars (t, p, ds), ascending by (t, p): a
+    # star is every merged (t, d, p) of one merged t and peak p. Each
+    # distinct deviation group is mapped once, however many rows share it,
+    # and a star's head t * points + p sorts as (t, p) does
+    mapped: dict[tuple[int, ...], set[int]] = {}
+    heads: dict[int, set[int]] = {}
+    for t, p, ds in csp.sp_rows:
+        group = mapped.get(ds)
+        if group is None:
+            if timed:
+                check_deadline({})
+            group = mapped[ds] = {rep_of[d] for d in ds}
+        head = rep_of[t] * points + p
+        members = heads.get(head)
+        if members is None:
+            heads[head] = set(group)
+        else:
+            members |= group
+    stars = []
+    for head in sorted(heads):
+        t, p = divmod(head, points)
+        members = heads[head]
+        members.discard(t)
+        if members:
+            stars.append((t, p, tuple(members)))
     vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
     vr_collapsed: VoterId | None = None
     for c in csp.vr_constraints:
@@ -344,16 +371,17 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     forward, backward = preference_masks(grid, csp.instance.preference_model, True)
     support_fwd = [_Supports(row) for row in forward]
     support_bwd = [_Supports(row) for row in backward]
-    cons_by_var: list[list[int]] = [[] for _ in range(n)]
-    for ci, (t, d, p) in enumerate(sp):
-        cons_by_var[t].append(ci)
-        cons_by_var[d].append(ci)
+    stars_by_var: list[list[int]] = [[] for _ in range(n)]
+    for si, (t, _, ds) in enumerate(stars):
+        stars_by_var[t].append(si)
+        for d in ds:
+            stars_by_var[d].append(si)
     t_ac3 = time.monotonic()
     phase_s = {"merge": t_ac3 - t0, "ac3": 0.0, "search": 0.0}
     stats: dict = {
         "variables": n,
         "merged_variables": len(reps),
-        "sp_constraints": len(sp),
+        "sp_constraints": sum(len(ds) for _, _, ds in stars),
         "anon_equalities": len(csp.equalities),
         "vr_constraints": len(vr),
         "ac3_prunes": 0,
@@ -373,36 +401,44 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         stats["refuted_by"] = f"relevance-collapsed:{vr_collapsed}"
         return finish("unsat", None, 0)
 
-    # arc consistency to a fixpoint
-    queue = list(range(len(sp)))
-    queued = [True] * len(sp)
+    # arc consistency to a fixpoint; a star is revised whole, every side
+    # against the domains as they were before the revision
+    queue = list(range(len(stars)))
+    queued = [True] * len(stars)
     while queue:
-        check_deadline(stats)
-        ci = queue.pop()
-        queued[ci] = False
-        t, d, p = sp[ci]
-        dom_t, dom_d = dom[t], dom[d]
-        keep_t = dom_t & support_fwd[p][dom_d]
-        keep_d = dom_d & support_bwd[p][dom_t]
-        if keep_t == dom_t and keep_d == dom_d:
-            continue
-        for var, old, keep in ((t, dom_t, keep_t), (d, dom_d, keep_d)):
-            if keep != old:
-                stats["ac3_prunes"] += old.bit_count() - keep.bit_count()
-                dom[var] = keep
-                if not keep:
-                    stats["refuted_by"] = "arc-consistency"
-                    phase_s["ac3"] = time.monotonic() - t_ac3
-                    return finish("unsat", None, 0)
-                for other in cons_by_var[var]:
-                    if not queued[other]:
-                        queued[other] = True
-                        queue.append(other)
+        if timed:
+            check_deadline(stats)
+        si = queue.pop()
+        queued[si] = False
+        t, p, ds = stars[si]
+        dom_t = keep_t = dom[t]
+        fwd, keep_bwd = support_fwd[p], support_bwd[p][dom_t]
+        changed = []
+        for d in ds:
+            dom_d = dom[d]
+            keep_t &= fwd[dom_d]
+            if dom_d & keep_bwd != dom_d:
+                changed.append((d, dom_d, dom_d & keep_bwd))
+        if keep_t != dom_t:
+            # t's prunes count first, as they did when t led every triple; a
+            # wipe-out stops the count
+            changed.insert(0, (t, dom_t, keep_t))
+        for var, old, keep in changed:
+            stats["ac3_prunes"] += old.bit_count() - keep.bit_count()
+            dom[var] = keep
+            if not keep:
+                stats["refuted_by"] = "arc-consistency"
+                phase_s["ac3"] = time.monotonic() - t_ac3
+                return finish("unsat", None, 0)
+            for other in stars_by_var[var]:
+                if not queued[other]:
+                    queued[other] = True
+                    queue.append(other)
     t_search = time.monotonic()
     phase_s["ac3"] = t_search - t_ac3
 
     by_tie = reps
-    value_order = list(range(len(grid)))
+    value_order = list(range(points))
     if order_seed is not None:
         rng = random.Random(order_seed)
         by_tie = reps[:]
@@ -439,24 +475,25 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         return True
 
     def propagate(var: int, val: int) -> bool:
-        for ci in cons_by_var[var]:
-            t, d, p = sp[ci]
+        for si in stars_by_var[var]:
+            t, p, ds = stars[si]
             if t == var:
-                other, allowed = d, forward[p][val]
+                allowed = forward[p][val]
             else:
-                other, allowed = t, backward[p][val]
-            if other in assignment:
-                # holds by forward checking from the earlier assignment; a guard
-                if not allowed >> assignment[other] & 1:
-                    return False
-                continue
-            keep = dom[other] & allowed
-            if keep != dom[other]:
-                trail.append((other, dom[other]))
-                dom[other] = keep
-                if not keep:
-                    return False
-                heapq.heappush(heap, (keep.bit_count(), rank[other], other))
+                ds, allowed = (t,), backward[p][val]
+            for other in ds:
+                if other in assignment:
+                    # holds by forward checking from the earlier assignment; a guard
+                    if not allowed >> assignment[other] & 1:
+                        return False
+                    continue
+                keep = dom[other] & allowed
+                if keep != dom[other]:
+                    trail.append((other, dom[other]))
+                    dom[other] = keep
+                    if not keep:
+                        return False
+                    heapq.heappush(heap, (keep.bit_count(), rank[other], other))
         return True
 
     # depth-first search on an explicit stack: a frame is the variable, its
@@ -464,7 +501,8 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     frames: list[tuple[int, Iterator[int], int]] = []
     sat = False
     while True:
-        check_deadline(stats)
+        if timed:
+            check_deadline(stats)
         var = choose()
         if var is None:
             if vr_satisfied():

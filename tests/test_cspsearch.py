@@ -663,3 +663,64 @@ def test_solve_agrees_with_brute_force(csp):
             values = [result.model[key] for key in csp.keys]
             assert all(v in dom for v, dom in zip(values, domains))
             assert _satisfies(csp, values)
+    _assert_arc_consistency_contract(csp, result)
+
+
+def _naive_arc_consistency(csp: Csp) -> tuple[set[tuple[int, int, int]], int, list[set[int]]]:
+    """The merged SP triples, and the values the arc-consistent closure removes
+    from the merged domains together with the closure's domains.
+
+    The classes come from a union-find over ``csp.equalities`` (rooted unlike
+    ``solve``'s, so a class is named by another member), the triples from the
+    flat ``csp.sp_constraints``, and the closure from passes over every
+    triple, value by value against ``compare``, until a pass removes nothing
+    or a domain is empty.
+    """
+    root = list(range(len(csp.keys)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in csp.equalities:
+        root[find(a)] = find(b)
+    rep = [find(v) for v in range(len(csp.keys))]
+    triples = {(rep[t], rep[d], p) for t, d, p in csp.sp_constraints if rep[t] != rep[d]}
+    grid, model = csp.instance.grid, csp.instance.preference_model
+    points = range(len(grid))
+    ok = [[[_accepts(model, grid[p], grid[x], grid[y]) for y in points] for x in points] for p in points]
+    domains = [set(points) for _ in rep]
+    for v, mask in enumerate(csp.domains):
+        domains[rep[v]] &= {k for k in points if mask >> k & 1}
+    before = sum(len(domains[r]) for r in set(rep))
+    changed = True
+    while changed and all(domains[r] for r in rep):
+        changed = False
+        for t, d, p in triples:
+            keep_t = {x for x in domains[t] if any(ok[p][x][y] for y in domains[d])}
+            keep_d = {y for y in domains[d] if any(ok[p][x][y] for x in domains[t])}
+            if (keep_t, keep_d) != (domains[t], domains[d]):
+                domains[t], domains[d], changed = keep_t, keep_d, True
+    return triples, before - sum(len(domains[r]) for r in set(rep)), [domains[r] for r in rep]
+
+
+def _assert_arc_consistency_contract(csp: Csp, result) -> None:
+    """``solve`` revises the merged SP triples, however it groups them: it
+    counts each once, and its AC-3 reaches the unique arc-consistent closure."""
+    triples, removed, domains = _naive_arc_consistency(csp)
+    stats = result.stats
+    assert stats["sp_constraints"] == len(triples)
+    refuted_by = stats.get("refuted_by", "")
+    if refuted_by == "arc-consistency":
+        assert not all(domains)
+    elif refuted_by != "empty-domain" and not refuted_by.startswith("relevance-collapsed"):
+        assert all(domains)
+        assert stats["ac3_prunes"] == removed
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_cases_meet_the_arc_consistency_contract(name):
+    inst, props = SEARCH_CASES[name]
+    csp = encode(inst, props)
+    _assert_arc_consistency_contract(csp, solve(csp))
