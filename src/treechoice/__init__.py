@@ -44,6 +44,7 @@ from .scf import (
     GmvsParameters,
     ParticipantMedian,
     SocialChoiceFunction,
+    WeightedMedianRule,
     gmvs_evaluate,
     parse_scf,
     weighted_median,
@@ -56,7 +57,6 @@ from .properties import (
     check_pareto,
     check_sp,
     check_voter_relevance,
-    find_dominating_point,
     run_check,
 )
 from .cspsearch import (

@@ -148,21 +148,6 @@ def voter_participates(
     return voter in participating_voters(instance.graph, reports, validate=False)
 
 
-def participating_others(
-    instance: Instance,
-    voter: VoterId,
-) -> Iterator[dict[VoterId, ReportedType]]:
-    """Joint reports of the others under which ``voter`` participates.
-
-    These are the contexts of a per-voter deviation enumeration, in the
-    lexicographic order of ``others_assignments``. Callers bound the size
-    beforehand with ``deviation_space_size``.
-    """
-    for others in others_assignments(instance, voter, budget=None):
-        if voter_participates(instance, voter, others):
-            yield others
-
-
 def deviation_space_size(
     instance: Instance,
     own_sizes: Mapping[VoterId, int],
@@ -234,10 +219,18 @@ class SituationSpace:
       same situation out.
     - ``profile_sids[i]`` is the situation of the ``i``-th profile of
       ``enumerate_profiles``.
-    - ``deviation_groups(voter)`` yields, for each context of
-      ``participating_others`` in order, the position of the context's
-      profile where the voter reports ``reports[voter][0]``, and the
-      situation of each of the voter's reports in ``report_space`` order.
+    - ``reached[s]`` is the bitmask of the voters taking part in situation
+      ``s``, bit ``k`` for voter ``k``. It fixes each participant's
+      invitations too, since a voter takes part exactly when its one parent
+      does and invites it: situations with the same ``reached`` differ only
+      in their participants' peaks. Rule tabulation computes a weighted
+      median's weights, and ``classes`` the anonymity classes, once per
+      such set.
+    - ``deviation_groups(voter)`` yields, for each context, a joint report
+      of the others under which the voter takes part, in lexicographic
+      order, the position of the context's profile where the voter reports
+      ``reports[voter][0]``, and the situation of each of the voter's
+      reports in ``report_space`` order.
     - ``classes(variant)`` lists, for each situation, its anonymity classes
       of two or more voters, each as (class key, voter indices), in key
       order.
@@ -263,11 +256,12 @@ class SituationSpace:
     - ``strides[k]`` is how far apart two positions are whose profiles
       differ by one in voter ``k``'s report index and in nothing else.
     - ``profile_json(position, omit)`` spells the profile at ``position``,
-      without voter ``omit``, as ``properties.profile_to_json`` does, and
-      ``report_json(k, r)`` one report; both read the strings ``spelled()``
-      formats once per space, and build new dicts and lists on every call,
-      so a witness is its caller's own. ``profile_at`` rebuilds the
-      profile itself.
+      without voter ``omit``, as every report and witness spells a
+      profile: per voter, in order, its peak by ``format_rational`` and its
+      invited children as a sorted list; ``report_json(k, r)`` spells one
+      report. Both read the strings ``spelled()`` formats once per space,
+      and build new dicts and lists on every call, so a witness is its
+      caller's own. ``profile_at`` rebuilds the profile itself.
     - ``key_order()`` lists the situations by ascending key: a key lists
       its entries by voter, and an entry compares by voter, then peak, then
       invited tuple.
@@ -346,13 +340,13 @@ class SituationSpace:
             leaves = grown if walked != direct else [leaf[:5] + leaf[3:5] for leaf in grown]
         leaves.sort(key=lambda leaf: leaf[1])  # ids by first appearance in enumerate_profiles
         columns = map(list, zip(*leaves))
-        reached_sets, self.starts, self.digits, lows, highs, direct_lows, direct_highs = columns
+        self.reached, self.starts, self.digits, lows, highs, direct_lows, direct_highs = columns
         self.hulls = (lows, highs)
         self.direct_hulls = (direct_lows, direct_highs)
 
         sids = [0] * math.prod(sizes)
         free = {}  # per set of voters taking part, its situations' profiles as offsets from their start
-        for sid, (reached, start) in enumerate(zip(reached_sets, self.starts)):
+        for sid, (reached, start) in enumerate(zip(self.reached, self.starts)):
             offsets = free.get(reached)
             if offsets is None:
                 offsets = [0]
@@ -392,12 +386,12 @@ class SituationSpace:
         ]
 
     def report_json(self, k: int, r: int) -> dict:
-        """Report ``r`` of voter index ``k`` as ``properties.profile_to_json`` spells it, in new containers."""
+        """Report ``r`` of voter index ``k`` as ``{"peak": ..., "invited": [...]}``, in new containers."""
         peak, invited = self.spelled()[1][k][r]
         return {"peak": peak, "invited": list(invited)}
 
     def profile_json(self, position: int, omit: VoterId | None = None) -> dict:
-        """``properties.profile_to_json(self.profile_at(position))`` without ``omit``, in new containers."""
+        """The profile at ``position`` without ``omit``, each voter's report as ``report_json`` spells it."""
         out = {}
         for v, row, stride in zip(self.graph.voters, self.spelled()[1], self.strides):
             if v != omit:
@@ -450,17 +444,16 @@ class SituationSpace:
         """Per situation, its ``permutation_classes`` of two or more voters, as (key, voter indices).
 
         Classes read only who takes part and what they invite, so they are
-        computed once per such pattern.
+        computed once per participation set (``reached``).
         """
         index = {v: k for k, v in enumerate(self.graph.voters)}
-        by_pattern: dict[tuple[int, ...], tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
+        by_set: dict[int, tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
         out = []
-        for key, digits in zip(self.keys, self.digits):
-            pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, self.invitations))
-            classes = by_pattern.get(pattern)
+        for key, reached in zip(self.keys, self.reached):
+            classes = by_set.get(reached)
             if classes is None:
                 reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-                classes = by_pattern[pattern] = tuple(
+                classes = by_set[reached] = tuple(
                     (cls.key, tuple(sorted(index[v] for v in cls.members)))
                     for cls in permutation_classes(self.graph, reports, variant)
                     if len(cls.members) >= 2

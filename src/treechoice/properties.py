@@ -10,9 +10,14 @@ around (a Pass is witnessed exactly, a Fail means no witness on this grid).
 Every checker reads the rule's table on the instance's situation space
 (``rule_table``), which every peak assignment of one tree shape shares. A
 rule is evaluated only there, through a ``PeakBlindInstance`` that hides
-the true peaks: once per situation, on its first profile, and on every
-other profile of a situation where that evaluation read a non-participant's
-report. Rules that compare equal share one table. The table layer projects
+the true peaks. A weighted median that keeps ``WeightedMedianRule.outcome``
+is tabulated from its ``weights``, once per participation set, on reports
+that hold only invitations, and each situation's median is then taken
+over grid indices, with no ``outcome`` call. Any other rule, or a median
+whose ``weights`` read more than invitations, is evaluated once per
+situation, on its first profile, and on every other profile of a
+situation where that evaluation read a non-participant's report. Rules
+that compare equal share one table. The table layer projects
 the profile count against the checker's budget on every read, cached or
 not, and SP and VR project their deviation counts before that.
 
@@ -43,7 +48,7 @@ import itertools
 import math
 import re
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,15 +65,19 @@ from .model import (
     ConfigurationError,
     Instance,
     PreferenceModel,
-    PreferenceVerdict,
-    ReportedType,
     VoterId,
     compare,
     format_rational,
-    participating_voters,
     preference_masks,
 )
-from .scf import SocialChoiceFunction
+from .scf import (
+    PeakBlindInstance,
+    SocialChoiceFunction,
+    WeightedMedianRule,
+    _Invitations,
+    _WatchedProfile,
+    weighted_median,
+)
 
 EXACT_ON_GRID = "ExactOnGrid"
 PASS_IS_GRID_RELATIVE = "PassIsGridRelative"
@@ -129,78 +138,6 @@ class CheckReport:
             "profiles_examined": self.profiles_examined,
             "soundness_note": self.soundness_note,
         }
-
-
-def profile_to_json(reports: Mapping[VoterId, ReportedType]) -> dict:
-    return {
-        v: {"peak": format_rational(rep.peak), "invited": sorted(rep.invited)}
-        for v, rep in sorted(reports.items())
-    }
-
-
-class PeakBlindInstance:
-    """What an outcome rule may read of an instance: graph, grid, preference model.
-
-    Rule tables are shared by every peak assignment of a tree shape, so a
-    rule must not read true peaks. Asking this view for ``true_peaks`` (or
-    anything else an ``Instance`` derives from them) raises
-    ConfigurationError naming the rule.
-    """
-
-    __slots__ = ("graph", "grid", "preference_model", "_rule")
-
-    def __init__(self, instance: Instance, rule: str) -> None:
-        self.graph = instance.graph
-        self.grid = instance.grid
-        self.preference_model = instance.preference_model
-        self._rule = rule
-
-    def __getattr__(self, name: str):
-        if name.startswith("__"):
-            raise AttributeError(name)
-        raise ConfigurationError(
-            f"rule {self._rule!r} read instance.{name}; an outcome rule may read only the graph, "
-            "the grid, the preference model and the participants' reports"
-        )
-
-
-class _WatchedProfile(Mapping):
-    """A situation's first profile as a rule reads it, noting a read of a non-participant's report.
-
-    ``rows[voter]`` is the voter's index and report space, and ``digits``
-    the situation's report indices; a voter not taking part reports its
-    first report here. Iterating the view, ``len`` and ``in`` read only the
-    voters, whom every profile lists. Every other read goes through
-    ``__getitem__`` (``get``, ``items``, ``values``, ``==`` and ``dict``
-    among them), which sets ``strayed[0]`` when the voter does not take
-    part; a copy shares the list. A rule that never strays reads the same
-    reports on every profile of the situation, so, being deterministic, it
-    gives the same outcome on each.
-    """
-
-    __slots__ = ("_rows", "_digits", "strayed")
-
-    def __init__(self, rows: dict, digits: tuple[int, ...]) -> None:
-        self._rows = rows
-        self._digits = digits
-        self.strayed = [False]
-
-    def __getitem__(self, voter):
-        k, reports = self._rows[voter]
-        r = self._digits[k]
-        if r < 0:
-            self.strayed[0] = True
-            r = 0
-        return reports[r]
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __contains__(self, voter):
-        return voter in self._rows
 
 
 class RuleTable:
@@ -365,18 +302,36 @@ def rule_table(
 def _tabulate(scf: SocialChoiceFunction, instance: Instance, space: SituationSpace) -> RuleTable:
     """The rule's table on the space, from as few evaluations as the rule allows.
 
-    Tabulation shows the rule a ``PeakBlindInstance``. It evaluates the rule
-    once per situation, where the situation first appears, on a
-    ``_WatchedProfile``. Where that evaluation read a non-participant's
-    report, it evaluates the rule on every later profile of the situation
-    too, and raises ConfigurationError naming two profiles when they give
-    two outcomes. Positions are visited in order: only each situation's
-    first (``space.starts``) until one strays, every position from there
-    on. For a deterministic rule that is the table, and the error, that
-    evaluating every profile gives.
+    Tabulation shows the rule a ``PeakBlindInstance``. A rule that keeps
+    ``WeightedMedianRule.outcome`` is tabulated by ``_medians``, from one
+    ``weights`` call per participation set. Any other rule, and a median
+    whose ``weights`` read more than that pass shows, is tabulated by
+    ``_evaluate``, from one ``outcome`` call per situation, and more where
+    a call strays. For a deterministic rule either gives the table, and
+    the error, that evaluating every profile gives: ``values`` holds the
+    grid and the outcomes hit, in order.
     """
     view = PeakBlindInstance(instance, scf.name)
-    rows = {v: (k, space.reports[v]) for k, v in enumerate(instance.graph.voters)}
+    medians = _medians(scf, view, space) if type(scf).outcome is WeightedMedianRule.outcome else None
+    values, outs = medians or _evaluate(scf, view, space)
+    kept = sorted(set(space.grid).union([values[x] for x in set(outs)]))
+    index_of = {q: k for k, q in enumerate(kept)}
+    at = [index_of.get(q) for q in values]
+    return RuleTable(space, tuple(kept), tuple([at[x] for x in outs]))
+
+
+def _evaluate(scf: SocialChoiceFunction, view: PeakBlindInstance, space: SituationSpace):
+    """(values, each situation's index into them), from one ``outcome`` call per situation and more where it strays.
+
+    It evaluates the rule once per situation, where the situation first
+    appears, on a ``_WatchedProfile``. Where that evaluation read a
+    non-participant's report, it evaluates the rule on every later profile
+    of the situation too, and raises ConfigurationError naming two profiles
+    when they give two outcomes. Positions are visited in order: only each
+    situation's first (``space.starts``) until one strays, every position
+    from there on.
+    """
+    rows = {v: (k, space.reports[v]) for k, v in enumerate(space.graph.voters)}
     sids = space.profile_sids
     outs: list[Fraction] = []
     strayed = set()  # situations whose first evaluation read a non-participant's report
@@ -397,17 +352,69 @@ def _tabulate(scf: SocialChoiceFunction, instance: Instance, space: SituationSpa
             if watched.strayed[0]:
                 strayed.add(sid)
         elif sid in strayed:
-            profile = space.profile_at(position)
-            out = scf.outcome(view, profile)
+            out = scf.outcome(view, space.profile_at(position))
             if out != outs[sid]:
                 raise ConfigurationError(
                     f"rule {scf.name!r} does not depend on the observable situation alone: profiles "
-                    f"{profile_to_json(space.profile_at(space.starts[sid]))} and {profile_to_json(profile)} "
+                    f"{space.profile_json(space.starts[sid])} and {space.profile_json(position)} "
                     f"share one situation but give {format_rational(outs[sid])} and {format_rational(out)}"
                 )
-    values = tuple(sorted(set(instance.grid).union(outs)))
-    index_of = {q: k for k, q in enumerate(values)}
-    return RuleTable(space, values, tuple(index_of[out] for out in outs))
+    index: dict[Fraction, int] = {}
+    at = [index.setdefault(out, len(index)) for out in outs]
+    return list(index), at
+
+
+def _medians(scf: WeightedMedianRule, view: PeakBlindInstance, space: SituationSpace):
+    """(values, each situation's index into them), from one ``weights`` call per participation set, or None.
+
+    ``weights`` runs on the set's first situation (``space.reached``), on a
+    ``_WatchedProfile`` of ``_Invitations``. The values are the grid and
+    the phantoms, sorted, and a situation's median is the first index into
+    them at which its participants' weights, summed on their reported
+    peaks' indices, and the phantoms reach ``ceil(m/2)``. It returns None,
+    for ``_evaluate``, once a call reads a peak or a non-participant's
+    report, compares or hashes a report, or weights a non-participant or
+    by anything but an int >= 0.
+    """
+    voters, ns = space.graph.voters, space.invitations
+    seen = [False]  # shared by every view and report the pass shows
+    rows = {v: (k, [_Invitations(rep.invited, seen) for rep in space.reports[v]]) for k, v in enumerate(voters)}
+    sets = {}
+    for sid, reached in enumerate(space.reached):
+        if reached in sets:
+            continue
+        try:
+            weights = dict(scf.weights(view, _WatchedProfile(rows, space.digits[sid], seen)).items())
+        except Exception:
+            if seen[0]:
+                return None
+            raise
+        ws = [(k, ns[k], weights.pop(v, 0)) for k, v in enumerate(voters) if reached >> k & 1]
+        if weights or seen[0] or any(type(w) is not int or w < 0 for *_, w in ws):
+            return None
+        if not sets:  # as ``outcome`` does, after the first weights
+            phantoms = scf.phantom_peaks(view)
+            values = sorted(set(space.grid).union(phantoms))
+            at = [values.index(q) for q in space.grid]
+        total = sum(w for *_, w in ws) + len(phantoms)
+        if not total:
+            weighted_median(())  # raises as ``outcome`` does on an empty multiset
+        sets[reached] = [row for row in ws if row[2]], (total + 1) // 2
+    base = [0] * len(values)
+    for p in phantoms:
+        base[values.index(p)] += 1
+    outs = []
+    for digits, reached in zip(space.digits, space.reached):
+        ws, rank = sets[reached]
+        counts = base.copy()
+        for k, n, w in ws:
+            counts[at[digits[k] // n]] += w
+        x, below = 0, counts[0]
+        while below < rank:
+            x += 1
+            below += counts[x]
+        outs.append(x)
+    return values, outs
 
 
 def check_sp(
@@ -475,8 +482,8 @@ def check_pareto(
 
     Peaks are reported truthfully while invitations range over every
     configuration; on a line with single-peaked preferences the hull test
-    is equivalent to the no-dominating-alternative definition (see
-    ``find_dominating_point`` for the definitional oracle). On a truthful
+    is equivalent to the no-dominating-alternative definition (the tests
+    compare the two on every truthful profile of small shapes). On a truthful
     profile the participants' true peaks are their reported peaks, so the
     hull is the situation's.
     """
@@ -494,34 +501,6 @@ def check_pareto(
         "outcome": table.spelled()[table.outcomes[sid]],
     }
     return CheckReport("PE", "Fail", witness, examined, EXACT_ON_GRID)
-
-
-def find_dominating_point(
-    instance: Instance,
-    reports: Mapping[VoterId, ReportedType],
-    outcome: Fraction,
-) -> Fraction | None:
-    """Definitional efficiency oracle under symmetric distances.
-
-    Returns a grid point that every participating voter weakly prefers to
-    ``outcome`` (judged at their true peaks) with at least one strict
-    preference, or None when no such point exists.
-    """
-    participating = sorted(participating_voters(instance.graph, reports, validate=False))
-    for candidate in instance.grid:
-        if candidate == outcome:
-            continue
-        strict = False
-        for v in participating:
-            verdict = compare(instance.true_peaks[v], candidate, outcome, PreferenceModel.SYMMETRIC_DISTANCE)
-            if verdict is PreferenceVerdict.WORSE:
-                break
-            if verdict is PreferenceVerdict.BETTER:
-                strict = True
-        else:
-            if strict:
-                return candidate
-    return None
 
 
 def check_ontoness(

@@ -3,18 +3,29 @@
 Each rule is a deterministic, stateless map from (instance, reports) to a
 point in [0, 1] and may only look at participating voters' reported peaks
 and reported invitations. ``reports`` is a read-only ``Mapping`` from every
-voter to its report, not always a ``dict``: the checkers' tabulation passes
-a view that notes which reports the rule reads. All rules return grid
-points whenever their parameters lie on the grid.
+voter to its report, not always a ``dict``. All rules return grid points
+whenever their parameters lie on the grid.
+
+The checkers' tabulation (``properties.rule_table``) shows a rule only
+what it may read, through the views defined here: a ``PeakBlindInstance``
+in place of the instance, and a ``_WatchedProfile`` in place of the
+reports, which notes each read of a non-participant's report.
+
+The three medians are ``WeightedMedianRule``s. Their one ``outcome`` is
+the weighted median of the participants' reported peaks, under weights
+that read only who takes part and whom they invite. So tabulation calls
+their ``weights`` once per set of participants, on reports that hold
+only invitations (``_Invitations``), and takes each situation's median
+over grid indices, with no ``outcome`` call.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
 
 from .fileio import InstanceFileError, object_at, rational_at, voter_ids_at
 from .model import (
@@ -138,6 +149,72 @@ class GmvsParameters:
         return lookup
 
 
+class PeakBlindInstance:
+    """What an outcome rule may read of an instance: graph, grid, preference model.
+
+    Rule tables are shared by every peak assignment of a tree shape, so a
+    rule must not read true peaks. Asking this view for ``true_peaks`` (or
+    anything else an ``Instance`` derives from them) raises
+    ConfigurationError naming the rule.
+    """
+
+    __slots__ = ("graph", "grid", "preference_model", "_rule")
+
+    def __init__(self, instance: Instance, rule: str) -> None:
+        self.graph = instance.graph
+        self.grid = instance.grid
+        self.preference_model = instance.preference_model
+        self._rule = rule
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise ConfigurationError(
+            f"rule {self._rule!r} read instance.{name}; an outcome rule may read only the graph, "
+            "the grid, the preference model and the participants' reports"
+        )
+
+
+class _WatchedProfile(Mapping):
+    """A situation's first profile as a rule reads it, noting a read of a non-participant's report.
+
+    ``rows[voter]`` is the voter's index and report space, and ``digits``
+    the situation's report indices; a voter not taking part reports its
+    first report here. Iterating the view, ``len`` and ``in`` read only the
+    voters, whom every profile lists. Every other read goes through
+    ``__getitem__`` (``get``, ``items``, ``values``, ``==`` and ``dict``
+    among them), which sets ``strayed[0]`` when the voter does not take
+    part; a copy shares the list, and a caller may pass a list of its own.
+    A rule that never strays reads the same reports on every profile of
+    the situation, so, being deterministic, it gives the same outcome on
+    each.
+    """
+
+    __slots__ = ("_rows", "_digits", "strayed")
+
+    def __init__(self, rows: dict, digits: tuple[int, ...], strayed: list | None = None) -> None:
+        self._rows = rows
+        self._digits = digits
+        self.strayed = [False] if strayed is None else strayed
+
+    def __getitem__(self, voter):
+        k, reports = self._rows[voter]
+        r = self._digits[k]
+        if r < 0:
+            self.strayed[0] = True
+            r = 0
+        return reports[r]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __contains__(self, voter):
+        return voter in self._rows
+
+
 class SocialChoiceFunction:
     """Deterministic outcome rule; subclasses implement ``outcome``.
 
@@ -173,14 +250,63 @@ class FixedOutcome(SocialChoiceFunction):
         return self.value
 
 
+class WeightedMedianRule(SocialChoiceFunction):
+    """Weighted median of the participants' reported peaks, plus any phantoms.
+
+    Subclasses give ``weights``: a nonnegative int per participant, which
+    may read the participants' reported invitations but no peak, and may
+    give ``phantom_peaks``: fixed values that vote once each in every
+    situation. ``outcome`` is the ceil(m/2)-th smallest peak of the
+    multiset where each participant's reported peak counts ``weights``
+    times, phantoms added; m is its size. Rules that keep this ``outcome``
+    are tabulated from one ``weights`` call per participation set
+    (``properties.rule_table``): the participants fix their invitations,
+    since each voter has one parent, and so the weights.
+    """
+
+    def weights(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> dict[VoterId, int]:
+        raise NotImplementedError
+
+    def phantom_peaks(self, instance: Instance) -> tuple[Fraction, ...]:
+        """The values added to every median, one vote each; none by default."""
+        return ()
+
+    def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
+        entries = [(reports[v].peak, w) for v, w in self.weights(instance, reports).items() if w]
+        entries += [(p, 1) for p in self.phantom_peaks(instance)]
+        return weighted_median(entries)
+
+
+class _Invitations:
+    """A report as tabulation shows a ``WeightedMedianRule``'s ``weights``: its invited set alone.
+
+    Reading ``peak``, comparing the report with ``==`` or hashing it sets
+    ``seen[0]`` and raises TypeError, so tabulation falls back to
+    evaluating ``outcome`` per situation.
+    """
+
+    __slots__ = ("invited", "_seen")
+
+    def __init__(self, invited: frozenset, seen: list) -> None:
+        self.invited, self._seen = invited, seen
+
+    def _stray(self, *args):
+        self._seen[0] = True
+        raise TypeError("the weights pass shows a report's invitations only")
+
+    peak = property(_stray)
+    __eq__ = __hash__ = _stray
+
+
 @dataclass(frozen=True)
-class DirectChildrenMedian(SocialChoiceFunction):
+class DirectChildrenMedian(WeightedMedianRule):
     """Median of the moderator's direct children's reported peaks.
 
-    Deeper voters' reports are ignored entirely. Optional phantom values
-    (one fewer than the number of direct children) generalize the rule to
-    any anonymous threshold scheme on the direct children; the default is
-    the plain median. Even cardinalities take the ceil(m/2)-th smallest.
+    Deeper voters' reports are ignored entirely: they weigh 0. Optional
+    phantom values (one fewer than the number of direct children)
+    generalize the rule to any anonymous threshold scheme on the direct
+    children; the default is the plain median. Even cardinalities take the
+    ceil(m/2)-th smallest.
     """
 
     phantoms: tuple[Fraction, ...] | None = None
@@ -195,16 +321,13 @@ class DirectChildrenMedian(SocialChoiceFunction):
             return "direct-median"
         return "direct-median[{}]".format(",".join(f"{p.numerator}/{p.denominator}" for p in self.phantoms))
 
-    def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
-        direct = sorted(instance.graph.moderator_children)
-        entries = [(reports[v].peak, 1) for v in direct]
-        if self.phantoms is not None:
-            if len(self.phantoms) != len(direct) - 1:
-                raise ConfigurationError(
-                    f"{len(direct)} direct children need {len(direct) - 1} phantoms, got {len(self.phantoms)}"
-                )
-            entries.extend((p, 1) for p in self.phantoms)
-        return weighted_median(entries)
+    def phantom_peaks(self, instance: Instance) -> tuple[Fraction, ...]:
+        if self.phantoms is None:
+            return ()
+        direct = len(instance.graph.moderator_children)
+        if len(self.phantoms) != direct - 1:
+            raise ConfigurationError(f"{direct} direct children need {direct - 1} phantoms, got {len(self.phantoms)}")
+        return self.phantoms
 
     def weights(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> dict[VoterId, int]:
         participating = participating_voters(instance.graph, reports, validate=False)
@@ -212,7 +335,7 @@ class DirectChildrenMedian(SocialChoiceFunction):
 
 
 @dataclass(frozen=True)
-class DepthWeightedMedian(SocialChoiceFunction):
+class DepthWeightedMedian(WeightedMedianRule):
     """Weighted median where closeness to the moderator buys weight.
 
     A depth-1 voter weighs one more than the number of children it invites,
@@ -237,17 +360,9 @@ class DepthWeightedMedian(SocialChoiceFunction):
                 out[v] = 0
         return out
 
-    def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
-        entries = [
-            (reports[v].peak, w)
-            for v, w in self.weights(instance, reports).items()
-            if w > 0
-        ]
-        return weighted_median(entries)
-
 
 @dataclass(frozen=True)
-class ParticipantMedian(SocialChoiceFunction):
+class ParticipantMedian(WeightedMedianRule):
     """Unweighted median over every participating peak.
 
     Deliberately manipulable: excluding a subtree changes the electorate,
@@ -255,10 +370,6 @@ class ParticipantMedian(SocialChoiceFunction):
     """
 
     name = "participant-median"
-
-    def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
-        participating = participating_voters(instance.graph, reports, validate=False)
-        return weighted_median([(reports[v].peak, 1) for v in sorted(participating)])
 
     def weights(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> dict[VoterId, int]:
         participating = participating_voters(instance.graph, reports, validate=False)

@@ -5,7 +5,10 @@ deviation, with no shared situation table: the form the table-backed
 checkers in ``treechoice.properties`` replaced.
 ``test_table_checkers_match_reference_loops`` requires both to produce the
 same report JSON, byte for byte. ``truthful_peak_profiles`` is the
-enumeration the efficiency loop scans.
+enumeration the efficiency loop scans, ``participating_others`` the one
+the deviation loops scan, and ``profile_to_json`` how every loop spells a
+profile. ``find_dominating_point`` is the definitional efficiency oracle
+the hull tests compare with.
 ``situation_numbering`` is the same kind of oracle for the situation
 space's constructor, and ``tabulate`` for ``properties.rule_table``.
 """
@@ -22,9 +25,10 @@ from treechoice.enumeration import (
     DEFAULT_PROFILE_BUDGET,
     deviation_space_size,
     enumerate_profiles,
-    participating_others,
+    others_assignments,
     peak_permutations,
     permutation_classes,
+    voter_participates,
 )
 from treechoice.model import (
     BudgetExceededError,
@@ -40,14 +44,59 @@ from treechoice.model import (
     participating_voters,
     situation_key,
 )
-from treechoice.properties import (
-    EXACT_ON_GRID,
-    PASS_IS_GRID_RELATIVE,
-    CheckReport,
-    PeakBlindInstance,
-    profile_to_json,
-)
-from treechoice.scf import SocialChoiceFunction
+from treechoice.properties import EXACT_ON_GRID, PASS_IS_GRID_RELATIVE, CheckReport
+from treechoice.scf import PeakBlindInstance, SocialChoiceFunction
+
+
+def profile_to_json(reports: Mapping[VoterId, ReportedType]) -> dict:
+    """A profile as every report and witness spells it: per voter, in order, its peak and sorted invited list."""
+    return {
+        v: {"peak": format_rational(rep.peak), "invited": sorted(rep.invited)}
+        for v, rep in sorted(reports.items())
+    }
+
+
+def participating_others(
+    instance: Instance,
+    voter: VoterId,
+) -> Iterator[dict[VoterId, ReportedType]]:
+    """Joint reports of the others under which ``voter`` participates.
+
+    These are the contexts of a per-voter deviation enumeration, in the
+    lexicographic order of ``others_assignments``. Callers bound the size
+    beforehand with ``deviation_space_size``.
+    """
+    for others in others_assignments(instance, voter, budget=None):
+        if voter_participates(instance, voter, others):
+            yield others
+
+
+def find_dominating_point(
+    instance: Instance,
+    reports: Mapping[VoterId, ReportedType],
+    outcome: Fraction,
+) -> Fraction | None:
+    """Definitional efficiency oracle under symmetric distances.
+
+    Returns a grid point that every participating voter weakly prefers to
+    ``outcome`` (judged at their true peaks) with at least one strict
+    preference, or None when no such point exists.
+    """
+    participating = sorted(participating_voters(instance.graph, reports, validate=False))
+    for candidate in instance.grid:
+        if candidate == outcome:
+            continue
+        strict = False
+        for v in participating:
+            verdict = compare(instance.true_peaks[v], candidate, outcome, PreferenceModel.SYMMETRIC_DISTANCE)
+            if verdict is PreferenceVerdict.WORSE:
+                break
+            if verdict is PreferenceVerdict.BETTER:
+                strict = True
+        else:
+            if strict:
+                return candidate
+    return None
 
 
 def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], list[int]]:

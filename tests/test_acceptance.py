@@ -27,7 +27,6 @@ from treechoice import (
     check_sp,
     check_voter_relevance,
     encode,
-    find_dominating_point,
     gmvs_evaluate,
     parse_rational,
     solve,
@@ -41,7 +40,7 @@ from treechoice.fileio import (
 )
 from treechoice.matrix import build_matrix
 from treechoice.model import participating_voters
-from reference_checkers import truthful_peak_profiles
+from reference_checkers import find_dominating_point, truthful_peak_profiles
 from conftest import make_deep_demo, tree_shapes, instances_for
 
 F = Fraction

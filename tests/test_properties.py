@@ -22,13 +22,12 @@ from treechoice import (
     check_pareto,
     check_sp,
     check_voter_relevance,
-    find_dominating_point,
     parse_rational,
     run_check,
 )
 from treechoice.fileio import make_chain, make_random, uniform_grid
 from treechoice.model import participating_voters
-from reference_checkers import truthful_peak_profiles
+from reference_checkers import find_dominating_point, truthful_peak_profiles
 from conftest import make_deep_demo
 
 F = Fraction

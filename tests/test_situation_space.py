@@ -29,6 +29,7 @@ from treechoice import (
     PreferenceModel,
     SocialChoiceFunction,
     TabulatedScf,
+    WeightedMedianRule,
     check_anonymity,
     check_depth1_hull,
     check_ontoness,
@@ -213,13 +214,13 @@ def test_profile_json_spells_what_profile_to_json_spells():
         voters = inst.graph.voters
         for k, v in enumerate(voters):
             for r, report in enumerate(space.reports[v]):
-                assert space.report_json(k, r) == properties.profile_to_json({v: report})[v]
+                assert space.report_json(k, r) == reference.profile_to_json({v: report})[v]
         for position, profile in enumerate(enumerate_profiles(inst)):
             assert space.profile_at(position) == profile
             omit = voters[position % len(voters)]
             first = space.profile_json(position)
-            assert json.dumps(first) == json.dumps(properties.profile_to_json(profile))
-            others = properties.profile_to_json({u: rep for u, rep in profile.items() if u != omit})
+            assert json.dumps(first) == json.dumps(reference.profile_to_json(profile))
+            others = reference.profile_to_json({u: rep for u, rep in profile.items() if u != omit})
             assert json.dumps(space.profile_json(position, omit)) == json.dumps(others)
             again = space.profile_json(position)
             assert again is not first
@@ -419,24 +420,33 @@ def _values_and_outcomes(rule, inst):
     return table.values, table.outcomes
 
 
-@pytest.mark.parametrize("inst", [make_fig2(), make_chain(3, 3)], ids=["fig2", "chain-3"])
+@pytest.mark.parametrize("inst, sets", [(make_fig2(), 4), (make_chain(3, 3), 3)], ids=["fig2", "chain-3"])
 @pytest.mark.parametrize(
     "rule", [FixedOutcome(F(1, 2)), DirectChildrenMedian(), DepthWeightedMedian(), ParticipantMedian()]
 )
-def test_bundled_rules_are_evaluated_once_per_situation(inst, rule, monkeypatch):
-    # a bundled rule reads only participants, so each situation is decided
-    # on its first profile and no other profile is evaluated
+def test_bundled_medians_are_weighted_once_per_participation_set(inst, sets, rule, monkeypatch):
+    # a weighted median's weights read only invitations, which the
+    # participants fix, so its table comes from one ``weights`` call per
+    # participation set and no ``outcome`` call; a rule that is not a
+    # weighted median is evaluated once per situation, on its first profile.
+    # ``outcome`` is counted where the rule inherits it, as a tracer wraps it.
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    calls = []
-    evaluate = type(rule).outcome
+    calls = {"outcome": 0, "weights": 0}
+    owner = WeightedMedianRule if isinstance(rule, WeightedMedianRule) else type(rule)
+    for cls, name in ((owner, "outcome"), (type(rule), "weights")):
 
-    def counted(self, instance, reports):
-        calls.append(None)
-        return evaluate(self, instance, reports)
+        def counted(self, *args, method=getattr(cls, name), name=name):
+            calls[name] += 1
+            return method(self, *args)
 
-    monkeypatch.setattr(type(rule), "outcome", counted)
+        monkeypatch.setattr(cls, name, counted)
     space, table = properties.rule_table(rule, inst)
-    assert len(calls) == len(space.keys) == len(table.outcomes) < len(space.profile_sids)
+    assert len(set(space.reached)) == sets
+    assert len(space.keys) == len(table.outcomes) < len(space.profile_sids)
+    if owner is WeightedMedianRule:
+        assert calls == {"outcome": 0, "weights": sets}
+    else:
+        assert calls == {"outcome": len(space.keys), "weights": 0}
 
 
 class _ReadsEveryVoter(SocialChoiceFunction):
@@ -524,6 +534,58 @@ class _LastVoterPeak(SocialChoiceFunction):
         return reports.get(max(instance.graph.voters)).peak
 
 
+class _Weighted(WeightedMedianRule):
+    """A weighted median whose ``weights`` is given; all of ``_WEIGHTED`` but the last fall back from the weights pass."""
+
+    def __init__(self, name, weights, phantoms=()) -> None:
+        self.name, self._weights, self._phantoms = name, weights, phantoms
+
+    def weights(self, instance, reports):
+        return self._weights(instance.graph, reports)
+
+    def phantom_peaks(self, instance):
+        return self._phantoms
+
+
+def _taking_part(graph, reports):
+    return sorted(participating_voters(graph, reports, validate=False))
+
+
+_WEIGHTED = [
+    # reads the participants' peaks: a voter claiming peak 0 weighs 2
+    _Weighted("peak-weighted", lambda g, reports: {v: 1 + (reports[v].peak == 0) for v in _taking_part(g, reports)}),
+    # weighs every participant 1, and the first one 1 more per voter, taking part or not, that invites someone
+    _Weighted(
+        "reads-others",
+        lambda g, reports: {
+            v: 1 + (i == 0) * sum(bool(reports[u].invited) for u in g.voters)
+            for i, v in enumerate(_taking_part(g, reports))
+        },
+    ),
+    # weighs every participant 1, and 1 more if its report differs from the first participant's
+    _Weighted(
+        "compares-reports",
+        lambda g, reports: {v: 1 + (reports[v] != reports[min(reports, key=str)]) for v in _taking_part(g, reports)},
+    ),
+    # weighs every participant 1, and the first one 1 more per distinct report among the participants
+    _Weighted(
+        "hashes-reports",
+        lambda g, reports: {
+            v: 1 + (i == 0) * len({reports[u] for u in _taking_part(g, reports)})
+            for i, v in enumerate(_taking_part(g, reports))
+        },
+    ),
+    # weighs every voter 1, non-participants included
+    _Weighted("weighs-everyone", lambda g, reports: {v: 1 for v in g.voters}),
+    # weighs every participant 1/2
+    _Weighted("half-weights", lambda g, reports: {v: F(1, 2) for v in _taking_part(g, reports)}),
+    # weighs every participant -1, which ``outcome`` rejects
+    _Weighted("negative-weights", lambda g, reports: {v: -1 for v in _taking_part(g, reports)}),
+    # weighs every participant 2 against one phantom at 1/3, which a lone participant outweighs
+    _Weighted("doubled-with-phantom", lambda g, reports: {v: 2 for v in _taking_part(g, reports)}, (F(1, 3),)),
+]
+
+
 def _table_or_error(tabulate, rule, inst):
     """``tabulate``'s (values, outcomes), or the type and message of what it raised."""
     try:
@@ -533,13 +595,18 @@ def _table_or_error(tabulate, rule, inst):
 
 
 def test_rule_table_matches_per_profile_tabulation():
-    # every shape of up to 4 voters; the table or the error, message and
+    # every shape of up to 4 voters on 3 points under both preference
+    # models, and on 2 and 4 points; the table or the error, message and
     # all, must be what evaluating every profile gives
     rules = [
         FixedOutcome(F(1, 2)),
         DirectChildrenMedian(),
         DepthWeightedMedian(),
         ParticipantMedian(),
+        DirectChildrenMedian((F(1, 2),)),
+        DirectChildrenMedian((F(1, 3),)),
+        DirectChildrenMedian((F(0), F(1), F(1, 2), F(1, 2))),
+        *_WEIGHTED,
         _ReadsAllReports(),
         _HighestReportedPeak(),
         _CountsVoters(),
@@ -547,20 +614,57 @@ def test_rule_table_matches_per_profile_tabulation():
         _RaisesOnLastProfile(),
     ]
     kinds: dict[str, set] = {rule.name: set() for rule in rules}
-    for graph in tree_shapes(4, 4):
-        inst = Instance(graph, {v: GRID3[-1] for v in graph.voters}, GRID3)
-        for rule in rules:
-            expected = _table_or_error(reference.tabulate, rule, inst)
-            assert _table_or_error(_values_and_outcomes, rule, inst) == expected, (graph, rule.name)
-            kinds[rule.name].add(expected[0] if isinstance(expected[0], type) else "table")
-    # the two rules whose outcome reads a non-participant's report tabulate
-    # only on shapes where the voters they read always take part
+    phantom_hit = set()  # whether each table of the doubled weights holds its phantom
+    for grid, model in [
+        (GRID3, PreferenceModel.SYMMETRIC_DISTANCE),
+        (GRID3, PreferenceModel.ROBUST_SINGLE_PEAKED),
+        (uniform_grid(2), PreferenceModel.SYMMETRIC_DISTANCE),
+        (uniform_grid(4), PreferenceModel.SYMMETRIC_DISTANCE),
+    ]:
+        for graph in tree_shapes(4, 4):
+            inst = Instance(graph, {v: grid[-1] for v in graph.voters}, grid, model)
+            for rule in rules:
+                expected = _table_or_error(reference.tabulate, rule, inst)
+                assert _table_or_error(_values_and_outcomes, rule, inst) == expected, (graph, grid, rule.name)
+                if isinstance(expected[0], type):
+                    kinds[rule.name].add(expected[0])
+                else:
+                    kinds[rule.name].add("table")
+                    if rule.name == "doubled-with-phantom":
+                        phantom_hit.add(F(1, 3) in expected[0])
+    # the rules whose outcome reads a non-participant's report tabulate only
+    # on shapes where the voters they read always take part; a phantom
+    # tuple fits only shapes with one more direct child than it has values
     assert kinds == {
         **{rule.name: {"table"} for rule in rules},
+        "direct-median[1/2]": {"table", ConfigurationError},
+        "direct-median[1/3]": {"table", ConfigurationError},
+        "direct-median[0/1,1/1,1/2,1/2]": {ConfigurationError},
+        "reads-others": {"table", ConfigurationError},
+        "weighs-everyone": {"table", ConfigurationError},
+        "negative-weights": {ValueError},
         "highest-reported-peak": {"table", ConfigurationError},
         "last-voter-peak": {"table", ConfigurationError},
         "raises-on-last-profile": {RuntimeError},
     }
+    # an off-grid phantom is among the values only where an outcome hits it,
+    # and the one-voter shape's lone voter outweighs the phantom at 1/3
+    assert phantom_hit == {True, False}
+
+
+def test_participation_sets_fix_every_participants_invitations():
+    # what the weights pass and ``classes`` rest on: situations with the
+    # same ``reached`` give each participant the same invitation digit and
+    # every other voter -1, since a voter takes part exactly when its one
+    # parent does and invites it
+    instances = [Instance(graph, {v: GRID3[0] for v in graph.voters}, GRID3) for graph in tree_shapes(4, 4)]
+    for inst in [*instances, make_fig2()]:
+        space = situation_space(inst)
+        patterns: dict[int, tuple[int, ...]] = {}
+        for reached, digits in zip(space.reached, space.digits):
+            assert [r >= 0 for r in digits] == [bool(reached >> k & 1) for k in range(len(digits))]
+            pattern = tuple(r if r < 0 else r % n for r, n in zip(digits, space.invitations))
+            assert patterns.setdefault(reached, pattern) == pattern
 
 
 def test_rules_with_different_phantoms_get_separate_tables():
