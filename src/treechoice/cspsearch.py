@@ -20,10 +20,12 @@ folds the rows into stars, one per merged truthful variable and peak, that
 hold its merged deviations; no triple is spelled out between ``encode`` and
 arc consistency. It works on the same integers and reads preferences from
 one table filled by the exact ``compare``, so Fractions appear only at the
-boundary: in situation keys and in Sat models. Its kernel reads tables: an
-arc revision is one lookup per star member in a memo of supported values
-filled from that table, and the smallest-domain variable is the top of a
-lazy heap rather than the result of a scan.
+boundary: in situation keys and in Sat models. Its kernel reads tables and
+revises incrementally: an arc revision of a star reads its members, one
+lookup each in a memo of supported values filled from that table, only on
+its first revision and after its truthful variable's domain has changed,
+and the smallest-domain variable is the top of a lazy heap rather than the
+result of a scan.
 """
 
 from __future__ import annotations
@@ -268,9 +270,10 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     whose ``ds`` are the merged deviation variables other than ``t``, each
     once. Arc consistency revises a star whole, ``t`` against every ``d`` and
     every ``d`` against ``t``, from the domains as they were before the
-    revision, and forward checking walks a star from whichever side was
-    assigned; ``stats["sp_constraints"]`` counts the merged triples, the
-    stars' sizes summed. Unary hulls are already in the domains, and the
+    revision (the prunes are counted ``t`` first, then the ``ds`` in order),
+    and forward checking walks a star from whichever side was assigned;
+    ``stats["sp_constraints"]`` counts the merged triples, the stars' sizes
+    summed. Unary hulls are already in the domains, and the
     relevance disjunctions are checked lazily on complete assignments.
     The next variable has the smallest domain, ties to the earliest in a
     fixed tie-break order; value order is ascending grid. ``order_seed``
@@ -286,9 +289,14 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     comparison counts as a violation, as in ``verify_model``'s replay. A Sat
     model is mapped back to grid Fractions.
 
-    The kernel looks its answers up. A star revision reads the supported
-    values of each side from a per-peak memo keyed by the other side's
-    domain (``_Supports``), and the next variable is the top of a lazy
+    The kernel looks its answers up. The supported values of each side of a
+    star come from a per-peak memo keyed by the other side's domain
+    (``_Supports``). A star keeps the AND of its members' forward supports,
+    narrowed as each member's domain shrinks, so ``t`` is revised by one AND;
+    the members are re-read against ``t``'s backward support only on the
+    star's first revision and when ``t``'s domain has changed since the
+    last, as a member revised against a domain of ``t`` stays inside its
+    support while domains only shrink. The next variable is the top of a lazy
     min-heap of (domain size, tie-break rank, variable): every domain change
     pushes an entry, stale entries are dropped when they surface, and the
     heap is rebuilt from the unassigned variables when it outgrows twice the
@@ -401,24 +409,37 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         stats["refuted_by"] = f"relevance-collapsed:{vr_collapsed}"
         return finish("unsat", None, 0)
 
-    # arc consistency to a fixpoint; a star is revised whole, every side
-    # against the domains as they were before the revision
+    # arc consistency to a fixpoint. A revision of star si prunes what
+    # revising t against every d and every d against t would, from the
+    # domains as they were before it, without re-reading every member:
+    # fsup[si] is the AND of the members' forward supports, read at the
+    # star's first revision and narrowed whenever a member shrinks (a support
+    # only shrinks with its domain), and seen[si] is t's domain when the
+    # members were last revised against it, 0 before that; while t keeps
+    # that domain, every member stays inside its backward support
     queue = list(range(len(stars)))
     queued = [True] * len(stars)
+    fsup = [(1 << points) - 1] * len(stars)
+    seen = [0] * len(stars)
     while queue:
         if timed:
             check_deadline(stats)
         si = queue.pop()
         queued[si] = False
         t, p, ds = stars[si]
-        dom_t = keep_t = dom[t]
-        fwd, keep_bwd = support_fwd[p], support_bwd[p][dom_t]
+        dom_t = dom[t]
         changed = []
-        for d in ds:
-            dom_d = dom[d]
-            keep_t &= fwd[dom_d]
-            if dom_d & keep_bwd != dom_d:
-                changed.append((d, dom_d, dom_d & keep_bwd))
+        if seen[si] != dom_t:
+            fwd, keep_bwd = support_fwd[p], support_bwd[p][dom_t]
+            first = not seen[si]
+            seen[si] = dom_t
+            for d in ds:
+                dom_d = dom[d]
+                if first:
+                    fsup[si] &= fwd[dom_d]
+                if dom_d & keep_bwd != dom_d:
+                    changed.append((d, dom_d, dom_d & keep_bwd))
+        keep_t = dom_t & fsup[si]
         if keep_t != dom_t:
             # t's prunes count first, as they did when t led every triple; a
             # wipe-out stops the count
@@ -431,6 +452,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 phase_s["ac3"] = time.monotonic() - t_ac3
                 return finish("unsat", None, 0)
             for other in stars_by_var[var]:
+                head, q, _ = stars[other]
+                if head != var:
+                    fsup[other] &= support_fwd[q][keep]
                 if not queued[other]:
                     queued[other] = True
                     queue.append(other)
@@ -481,12 +505,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 allowed = forward[p][val]
             else:
                 ds, allowed = (t,), backward[p][val]
+            # an assigned other's domain is the singleton of its value, which
+            # forward checking from that assignment allowed: the AND keeps it
             for other in ds:
-                if other in assignment:
-                    # holds by forward checking from the earlier assignment; a guard
-                    if not allowed >> assignment[other] & 1:
-                        return False
-                    continue
                 keep = dom[other] & allowed
                 if keep != dom[other]:
                     trail.append((other, dom[other]))

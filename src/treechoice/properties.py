@@ -255,12 +255,13 @@ class RuleTable:
     def onto(self) -> tuple[int, ...]:
         """The ONTO unit: (profiles examined, then the grid indices no situation hits, ascending)."""
         space = self.space
-        wanted = set(space.grid)
+        at = [self.values.index(q) for q in space.grid]
+        wanted = set(at)
         for sid, k in enumerate(self.outcomes):
-            wanted.discard(self.values[k])
+            wanted.discard(k)
             if not wanted:
                 return (space.starts[sid] + 1,)
-        return (len(space.profile_sids), *sorted(space.grid.index(q) for q in wanted))
+        return (len(space.profile_sids), *sorted(at.index(k) for k in wanted))
 
     @_memoized
     def an(self, variant: AnonymityVariant) -> tuple[int, int, int]:
