@@ -16,6 +16,7 @@ from .model import (
     PreferenceModel,
     PreferenceVerdict,
     ReportedType,
+    SortedTable,
     StructuralError,
     TreeChoiceError,
     TrueType,

@@ -35,7 +35,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .enumeration import AnonymityVariant, SituationSpace, situation_space
 from .model import (
@@ -44,6 +44,7 @@ from .model import (
     Instance,
     ReportedType,
     SituationKey,
+    SortedTable,
     TreeChoiceError,
     VoterId,
     format_rational,
@@ -148,8 +149,18 @@ class Csp:
 
 @dataclass
 class CspResult:
+    """A search verdict, with its model when Sat.
+
+    ``model`` is None unless the verdict is Sat. ``solve`` gives a Sat model
+    as a read-only ``SortedTable`` from situation key to grid outcome that
+    iterates in ascending key order, which is ``csp.keys`` order; its hash
+    index is built only when a caller looks a key up. ``to_json`` returns a
+    new document on every call: editing it, ``stats`` and ``phase_s``
+    included, leaves the result as it was.
+    """
+
     verdict: str  # "sat" | "unsat"
-    model: dict[SituationKey, Fraction] | None
+    model: SortedTable | None
     nodes_explored: int
     stats: dict
     wall_time_s: float
@@ -164,24 +175,24 @@ class CspResult:
             "verdict": self.verdict,
             "model": None if self.model is None else model_to_json(self.model),
             "nodes_explored": self.nodes_explored,
-            "stats": self.stats,
+            "stats": {k: dict(v) if isinstance(v, dict) else v for k, v in self.stats.items()},
             "wall_time_s": self.wall_time_s,
         }
 
 
 def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
-    out = []
-    for key in sorted(model):
-        out.append(
-            {
-                "situation": [
-                    {"voter": v, "peak": format_rational(p), "invited": list(inv)}
-                    for v, p, inv in key
-                ],
-                "outcome": format_rational(model[key]),
-            }
-        )
-    return out
+    """A table as a list of ``{"situation": [...], "outcome": ...}`` entries, ascending by key.
+
+    A ``SortedTable`` is walked in its own order, with no sort and no key
+    hashed; any other mapping is sorted by key first.
+    """
+    return [
+        {
+            "situation": [{"voter": v, "peak": format_rational(p), "invited": list(inv)} for v, p, inv in key],
+            "outcome": format_rational(outcome),
+        }
+        for key, outcome in (model.items() if isinstance(model, SortedTable) else sorted(model.items()))
+    ]
 
 
 def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
@@ -287,7 +298,10 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     ``compare`` (``preference_masks``, shared with ``check_sp``), so no
     verdict rests on anything coarser than Fractions; an AMBIGUOUS
     comparison counts as a violation, as in ``verify_model``'s replay. A Sat
-    model is mapped back to grid Fractions.
+    model is mapped back to grid Fractions, as a read-only ``SortedTable``
+    over ``csp.keys``: the outcomes are a tuple indexed like the keys, it
+    iterates in ascending key order, and it hashes the keys only when a
+    caller looks one up.
 
     The kernel looks its answers up. The supported values of each side of a
     star come from a per-peak memo keyed by the other side's domain
@@ -297,10 +311,18 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     star's first revision and when ``t``'s domain has changed since the
     last, as a member revised against a domain of ``t`` stays inside its
     support while domains only shrink. The next variable is the top of a lazy
-    min-heap of (domain size, tie-break rank, variable): every domain change
-    pushes an entry, stale entries are dropped when they surface, and the
-    heap is rebuilt from the unassigned variables when it outgrows twice the
-    merged variable count.
+    min-heap of domain size and tie-break rank: every domain change pushes
+    an entry, stale entries are dropped when they surface, and the heap is
+    rebuilt from the unassigned variables when it outgrows twice the merged
+    variable count.
+
+    The hot loops hold ints, not tuples, so they give the cyclic collector
+    no containers to count. A heap entry is ``size * width + rank``, with
+    ``width`` the merged variable count, so it sorts as (size, rank) does; a
+    trail entry is ``var << points | saved``; the DFS stack is three int
+    lists (the variable, the next position in ``value_order`` and the trail
+    mark); and AC-3 writes a revision's changes as int codes ``var << points
+    | keep`` into one reused list.
     ``stats["phase_s"]`` gives the seconds spent merging (with the table),
     in arc consistency and in search.
     """
@@ -333,7 +355,8 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     # a class is represented by its smallest variable, so reps ascend
     rep_of = [find(i) for i in range(n)]
     reps = [i for i in range(n) if rep_of[i] == i]
-    dom = [(1 << points) - 1] * n
+    full = (1 << points) - 1
+    dom = [full] * n
     for r, mask in zip(rep_of, csp.domains):
         dom[r] &= mask
 
@@ -397,7 +420,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         "phase_s": phase_s,
     }
 
-    def finish(verdict: str, model: dict[SituationKey, Fraction] | None, nodes: int) -> CspResult:
+    def finish(verdict: str, model: SortedTable | None, nodes: int) -> CspResult:
         stats["nodes_explored"] = nodes
         return CspResult(verdict, model, nodes, dict(stats), time.monotonic() - t0)
 
@@ -416,11 +439,15 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     # star's first revision and narrowed whenever a member shrinks (a support
     # only shrinks with its domain), and seen[si] is t's domain when the
     # members were last revised against it, 0 before that; while t keeps
-    # that domain, every member stays inside its backward support
+    # that domain, every member stays inside its backward support. A
+    # revision's changes are int codes var << points | new domain, in one
+    # list reused by every revision; a var's old domain is still in dom
+    # when its change is applied, since a star holds each var once
     queue = list(range(len(stars)))
     queued = [True] * len(stars)
-    fsup = [(1 << points) - 1] * len(stars)
+    fsup = [full] * len(stars)
     seen = [0] * len(stars)
+    changed: list[int] = []
     while queue:
         if timed:
             check_deadline(stats)
@@ -428,7 +455,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         queued[si] = False
         t, p, ds = stars[si]
         dom_t = dom[t]
-        changed = []
+        changed.clear()
         if seen[si] != dom_t:
             fwd, keep_bwd = support_fwd[p], support_bwd[p][dom_t]
             first = not seen[si]
@@ -438,14 +465,15 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 if first:
                     fsup[si] &= fwd[dom_d]
                 if dom_d & keep_bwd != dom_d:
-                    changed.append((d, dom_d, dom_d & keep_bwd))
+                    changed.append(d << points | dom_d & keep_bwd)
         keep_t = dom_t & fsup[si]
         if keep_t != dom_t:
             # t's prunes count first, as they did when t led every triple; a
             # wipe-out stops the count
-            changed.insert(0, (t, dom_t, keep_t))
-        for var, old, keep in changed:
-            stats["ac3_prunes"] += old.bit_count() - keep.bit_count()
+            changed.insert(0, t << points | keep_t)
+        for code in changed:
+            var, keep = code >> points, code & full
+            stats["ac3_prunes"] += dom[var].bit_count() - keep.bit_count()
             dom[var] = keep
             if not keep:
                 stats["refuted_by"] = "arc-consistency"
@@ -473,21 +501,22 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         rank[r] = i
 
     assignment: dict[int, int] = {}
-    trail: list[tuple[int, int]] = []  # (variable, domain before a change), undone by depth
-    # (domain size, rank, variable); an entry is live while its variable is
-    # unassigned and its size is current, and every unassigned variable has one
-    heap = [(dom[r].bit_count(), rank[r], r) for r in by_tie]
+    trail: list[int] = []  # variable << points | its domain before a change, undone by depth
+    # domain size * width + rank, which sorts as (size, rank); an entry is live
+    # while its variable by_tie[rank] is unassigned and its size is current,
+    # and every unassigned variable has one
+    width = len(reps)
+    heap = [dom[r].bit_count() * width + i for i, r in enumerate(by_tie)]
     heapq.heapify(heap)
-    heap_limit = 2 * len(reps)
 
     def choose() -> int | None:
         # the smallest domain, ties to the earliest in by_tie
-        if len(heap) > heap_limit:
-            heap[:] = [(dom[r].bit_count(), rank[r], r) for r in by_tie if r not in assignment]
+        if len(heap) > 2 * width:
+            heap[:] = [dom[r].bit_count() * width + rank[r] for r in by_tie if r not in assignment]
             heapq.heapify(heap)
         while heap:
-            size, _, r = heap[0]
-            if r not in assignment and dom[r].bit_count() == size:
+            r = by_tie[heap[0] % width]
+            if r not in assignment and dom[r].bit_count() == heap[0] // width:
                 return r
             heapq.heappop(heap)
         return None
@@ -504,22 +533,28 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             if t == var:
                 allowed = forward[p][val]
             else:
+                # a 1-tuple comes off the interpreter's free list and goes back
+                # to it, so unlike a tuple kept per star it sets off no collection
                 ds, allowed = (t,), backward[p][val]
             # an assigned other's domain is the singleton of its value, which
             # forward checking from that assignment allowed: the AND keeps it
             for other in ds:
                 keep = dom[other] & allowed
                 if keep != dom[other]:
-                    trail.append((other, dom[other]))
+                    trail.append(other << points | dom[other])
                     dom[other] = keep
                     if not keep:
                         return False
-                    heapq.heappush(heap, (keep.bit_count(), rank[other], other))
+                    heapq.heappush(heap, keep.bit_count() * width + rank[other])
         return True
 
-    # depth-first search on an explicit stack: a frame is the variable, its
-    # untried values in value order, and the trail length before it was set
-    frames: list[tuple[int, Iterator[int], int]] = []
+    # depth-first search on an explicit stack of three int lists, one entry
+    # per open frame: its variable, the next position in value_order to try,
+    # and the trail length before it was set. Undoing the trail to that mark
+    # gives the variable back the domain its frame opened with
+    frame_vars: list[int] = []
+    frame_pos: list[int] = []
+    marks: list[int] = []
     sat = False
     while True:
         if timed:
@@ -530,22 +565,30 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
                 sat = True
                 break
         else:
-            mask = dom[var]
-            frames.append((var, iter([k for k in value_order if mask >> k & 1]), len(trail)))
-        while frames:  # the next value of the deepest open frame, backtracking
-            var, values, mark = frames[-1]
+            frame_vars.append(var)
+            frame_pos.append(0)
+            marks.append(len(trail))
+        while frame_vars:  # the next value of the deepest open frame, backtracking
+            var, mark = frame_vars[-1], marks[-1]
             while len(trail) > mark:
-                changed, saved = trail.pop()
-                dom[changed] = saved
-                heapq.heappush(heap, (saved.bit_count(), rank[changed], changed))
+                code = trail.pop()
+                undone, saved = code >> points, code & full
+                dom[undone] = saved
+                heapq.heappush(heap, saved.bit_count() * width + rank[undone])
             assignment.pop(var, None)
-            val = next(values, None)
-            if val is None:
-                frames.pop()
+            mask, pos = dom[var], frame_pos[-1]
+            while pos < points and not mask >> value_order[pos] & 1:
+                pos += 1
+            if pos == points:
+                frame_vars.pop()
+                frame_pos.pop()
+                marks.pop()
                 continue
+            frame_pos[-1] = pos + 1
+            val = value_order[pos]
             nodes += 1
             assignment[var] = val
-            trail.append((var, dom[var]))
+            trail.append(var << points | dom[var])
             dom[var] = 1 << val
             if propagate(var, val):
                 break
@@ -554,8 +597,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     phase_s["search"] = time.monotonic() - t_search
 
     if sat:
-        model = {key: grid[assignment[rep_of[i]]] for i, key in enumerate(csp.keys)}
-        return finish("sat", model, nodes)
+        return finish("sat", SortedTable(csp.keys, tuple([grid[assignment[r]] for r in rep_of])), nodes)
     return finish("unsat", None, nodes)
 
 
@@ -565,7 +607,7 @@ class TabulatedScf(SocialChoiceFunction):
     name = "tabulated"
 
     def __init__(self, table: Mapping[SituationKey, Fraction]) -> None:
-        self.table = dict(table)
+        self.table = dict(table.items())  # a SortedTable's keys are hashed once, here
 
     def outcome(self, instance: Instance, reports: Mapping[VoterId, ReportedType]) -> Fraction:
         key = situation_key(instance.graph, reports)
@@ -596,8 +638,8 @@ def verify_model(
     """Replay a table through the property checkers; Sat models must pass all."""
     props = normalize_properties(properties)
     space = _situation_space(instance, CspOptions())
-    missing = sum(1 for key in space.keys if key not in model)
+    scf = TabulatedScf(model)
+    missing = sum(1 for key in space.keys if key not in scf.table)
     if missing:
         raise ConfigurationError(f"incomplete table: {missing} reachable situations unassigned")
-    scf = TabulatedScf(model)
     return [run_check(scf, instance, token) for token in props]

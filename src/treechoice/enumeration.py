@@ -264,7 +264,7 @@ class SituationSpace:
       caller's own. ``profile_at`` rebuilds the profile itself.
     - ``key_order()`` lists the situations by ascending key: a key lists
       its entries by voter, and an entry compares by voter, then peak, then
-      invited tuple.
+      invited tuple. It sorts integer ranks of the entries, not the keys.
     - The blocks ``cspsearch.encode`` assembles a search encoding from,
       over variables numbered by ascending key, one per key:
       ``variables()``, the variable of each situation and the keys in
@@ -507,8 +507,24 @@ class SituationSpace:
 
     @_memoized
     def key_order(self) -> list[int]:
-        """Situation ids by ascending key."""
-        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        """Situation ids by ascending key, sorted on ints, not on the keys.
+
+        Each voter's reports are ranked once by (peak, sorted invited
+        tuple), as its key entries compare, and offset past every report of
+        the voters before it, which sort first by name. A situation then
+        sorts as the tuple of its participants' ranks, in voter order.
+        """
+        ranks, base = [], 0
+        for reports, n in zip(self.reports.values(), self.invitations):
+            # report r claims peak index r // n
+            entries = sorted(range(len(reports)), key=lambda r: (r // n, sorted(reports[r].invited)))
+            rank = [0] * len(reports)
+            for i, r in enumerate(entries, base):
+                rank[r] = i
+            ranks.append(rank)
+            base += len(reports)
+        order = [tuple([rank[r] for rank, r in zip(ranks, digits) if r >= 0]) for digits in self.digits]
+        return sorted(range(len(order)), key=order.__getitem__)
 
     # The blocks of a search encoding (``cspsearch.encode``), over variables
     # numbered by ascending key.
@@ -540,21 +556,27 @@ class SituationSpace:
 
     @_memoized
     def equalities(self, variant: AnonymityVariant) -> tuple[tuple[int, int], ...]:
-        """The pairs (a, b), a < b, of variables that swapping two class members' peaks links, ascending."""
+        """The pairs (a, b), a < b, of variables that swapping two class members' peaks links, ascending.
+
+        A swap links two situations, and is emitted once: from the one where
+        the lower-indexed member has the lower peak. So no pair repeats, and
+        the order comes from the sort alone.
+        """
         var, _ = self.variables()
         sids = self.profile_sids
         # swapping peaks a and b of voters i and j moves a position by
         # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
         unit = [n * stride for n, stride in zip(self.invitations, self.strides)]
-        pairs: set[tuple[int, int]] = set()
+        pairs = []
         for sid, classes in enumerate(self.classes(variant)):
             base, start = var[sid], self.starts[sid]
             for _, members in classes:
                 for (i, a), (j, b) in itertools.combinations(zip(members, self.peaks(sid, members)), 2):
-                    if a != b:
+                    if a < b:
                         other = var[sids[start + (b - a) * (unit[i] - unit[j])]]
-                        pairs.add((min(base, other), max(base, other)))
-        return tuple(sorted(pairs))
+                        pairs.append((base, other) if base < other else (other, base))
+        pairs.sort()
+        return tuple(pairs)
 
     @_memoized
     def deviation_vars(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
@@ -594,7 +616,7 @@ class SituationSpace:
     @_memoized
     def relevance_groups(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
         """The voter's deviation groups of two or more distinct variables, each ascending, without repeats."""
-        groups: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+        groups = {}  # an insertion-ordered set of tuples
         for group in self.deviation_vars(voter):
             members = tuple(sorted(set(group)))
             if len(members) >= 2:

@@ -117,8 +117,64 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C function, as json's own encoder uses
+
+
+class _NonStrKey(Exception):
+    """A dict key that is not a str: ``json`` spells and sorts those itself."""
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON to ``out`` as ``json.dumps(..., indent=2, sort_keys=True)`` spells it.
+
+    ``newline`` is a line break and the indent of the line ``value`` starts
+    on. Containers and strings are spelled here; any other leaf goes to
+    ``json``'s C encoder, which spells numbers, bools and None, and raises
+    on anything it cannot encode.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise _NonStrKey
+            out += (sep, inner, _encode_str(key), ": ")
+            _render(value[key], inner, out)
+            sep = ","
+        out += (newline, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _render(item, inner, out)
+            sep = ","
+        out += (newline, "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def dump_canonical(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder, so the
+    containers and strings are spelled here instead (``_render``). A dict
+    with a key that is not a str sends the whole document back to
+    ``json.dumps``, which converts and sorts such keys its own way.
+    """
+    out: list[str] = []
+    try:
+        _render(data, "\n", out)
+    except _NonStrKey:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 VoterId = str
 
@@ -438,3 +439,46 @@ def situation_key(graph: InvitationGraph, reports: Mapping[VoterId, ReportedType
     return tuple(
         (v, reports[v].peak, tuple(sorted(reports[v].invited))) for v in sorted(participating)
     )
+
+
+class SortedTable(Mapping):
+    """A read-only mapping given as its keys, ascending, and a value per key.
+
+    Iteration, ``items()`` and ``values()`` walk the two sequences in key
+    order and hash nothing. The hash index that ``[]``, ``in`` and ``get``
+    need is built on the first lookup. That the keys are distinct and
+    ascending is the caller's promise; it is not checked. ``solve`` returns
+    a Sat model this way, over ``csp.keys``.
+    """
+
+    __slots__ = ("_keys", "_values", "_index")
+
+    def __init__(self, keys: Sequence, values: Sequence) -> None:
+        self._keys, self._values, self._index = keys, values, None
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __getitem__(self, key):
+        if self._index is None:
+            self._index = dict(zip(self._keys, range(len(self._keys))))
+        return self._values[self._index[key]]
+
+    def items(self) -> ItemsView:
+        return _SortedItems(self)
+
+    def values(self) -> ValuesView:
+        return _SortedValues(self)
+
+
+class _SortedItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping._keys, self._mapping._values)
+
+
+class _SortedValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values)

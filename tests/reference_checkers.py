@@ -10,7 +10,8 @@ the deviation loops scan, and ``profile_to_json`` how every loop spells a
 profile. ``find_dominating_point`` is the definitional efficiency oracle
 the hull tests compare with.
 ``situation_numbering`` is the same kind of oracle for the situation
-space's constructor, and ``tabulate`` for ``properties.rule_table``.
+space's constructor, ``tabulate`` for ``properties.rule_table``, and
+``set_built_equalities`` for ``SituationSpace.equalities``.
 """
 
 from __future__ import annotations
@@ -107,6 +108,29 @@ def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], l
         for profile in enumerate_profiles(instance, budget=None)
     ]
     return tuple(index), sids
+
+
+def set_built_equalities(space, variant: AnonymityVariant) -> tuple[tuple[int, int], ...]:
+    """``SituationSpace.equalities`` as it was built before each swap was emitted once.
+
+    Every swap is found from both situations it links and de-duplicated
+    through a set; the body is the space method's, unchanged.
+    """
+    self = space
+    var, _ = self.variables()
+    sids = self.profile_sids
+    # swapping peaks a and b of voters i and j moves a position by
+    # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
+    unit = [n * stride for n, stride in zip(self.invitations, self.strides)]
+    pairs: set[tuple[int, int]] = set()
+    for sid, classes in enumerate(self.classes(variant)):
+        base, start = var[sid], self.starts[sid]
+        for _, members in classes:
+            for (i, a), (j, b) in itertools.combinations(zip(members, self.peaks(sid, members)), 2):
+                if a != b:
+                    other = var[sids[start + (b - a) * (unit[i] - unit[j])]]
+                    pairs.add((min(base, other), max(base, other)))
+    return tuple(sorted(pairs))
 
 
 def tabulate(scf: SocialChoiceFunction, instance: Instance) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+import treechoice.cli as cli
 from treechoice.cli import main
 from treechoice.fileio import (
     dump_canonical,
@@ -221,3 +223,76 @@ def test_matrix_markdown_smoke(capsys):
     assert code == 0
     assert "| VR-2 |" in out
     assert "AN-SD" in out
+
+
+def _json_canonical(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_writer_matches_json_on_every_cli_document(tmp_path, capsys, monkeypatch):
+    emitted = []
+
+    def recording(doc):
+        text = dump_canonical(doc)
+        emitted.append((doc, text))
+        return text
+
+    monkeypatch.setattr(cli, "dump_canonical", recording)
+    fig2, chain, branch = (tmp_path / f"{name}.json" for name in ("fig2", "chain", "branch"))
+    branch.write_text(json.dumps({
+        "moderator_children": ["a", "b"],
+        "children": {"a": ["c"]},
+        "peaks": {"a": "0/1", "b": "1/1", "c": "1/2"},
+        "grid": ["0/1", "1/2", "1/1"],
+    }))
+    runs = [
+        (0, ["gen", "--shape", "fig2", "--out", str(fig2)]),
+        (0, ["gen", "--shape", "chain", "--depth", "3", "--out", str(chain)]),
+        (0, ["gen", "--shape", "random", "--size", "4", "--seed", "7"]),
+        (0, ["evaluate", "--scf", "depth-weighted-median", "--instance", str(fig2)]),
+        (0, ["check", "--scf", "depth-weighted-median", "--instance", str(fig2), "--property", "AN-SD"]),
+        (2, ["check", "--scf", "depth-weighted-median", "--instance", str(fig2), "--property", "AN-D"]),
+        (2, ["check", "--scf", "participant-median", "--instance", str(fig2), "--property", "SP"]),
+        (0, ["matrix"]),
+        (0, ["matrix", "--instance", str(chain)]),
+        (0, ["matrix", "--instance", str(branch)]),
+        (0, ["search-csp", "--instance", str(fig2), "--properties", "SP,PE,AN-SD,VR-2"]),
+        (2, ["search-csp", "--instance", str(chain), "--properties", "SP,PE,AN-S"]),
+        (3, ["check", "--scf", "depth-weighted-median", "--instance", str(fig2), "--property", "SP", "--budget", "5"]),
+        (1, ["evaluate", "--scf", "mystery-rule", "--instance", str(fig2)]),
+    ]
+    for code, argv in runs:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert len(emitted) == len(runs)
+    for doc, text in emitted:
+        assert text == _json_canonical(doc)
+    docs = [doc for doc, _ in emitted]
+    assert sum(doc.get("verdict") == "Fail" and doc.get("witness") is not None for doc in docs) == 2
+    assert sum(isinstance(doc.get("result", {}).get("model"), list) for doc in docs) == 1
+    assert [doc["kind"] for doc in docs if "kind" in doc] == ["budget", "ConfigurationError"]
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e-7, 1e16, -0.0, 0.1, 2.0**53 + 1]),
+    st.text(),
+    st.sampled_from(["", "\u00e9t\u00e9", "\u2603\U0001f600", '"\\/\b\f\n\r\t', "\x00\x1f\x7f"]),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),  # not str keys: json spells the document
+    )
+
+
+@given(st.recursive(_leaves, _containers, max_leaves=40))
+def test_canonical_writer_matches_json_on_drawn_trees(doc):
+    assert dump_canonical(doc) == _json_canonical(doc)

@@ -56,7 +56,8 @@ from treechoice.fileio import (
     make_two_children_one_grandchild,
     uniform_grid,
 )
-from conftest import instances_for, space_never_built, tree_shapes
+from conftest import instances_for, make_deep_demo, space_never_built, tree_shapes
+from reference_checkers import set_built_equalities
 import reference_solver
 
 F = Fraction
@@ -774,3 +775,66 @@ def test_search_cases_meet_the_arc_consistency_contract(name):
     inst, props = SEARCH_CASES[name]
     csp = encode(inst, props)
     _assert_arc_consistency_contract(csp, solve(csp))
+
+
+# The space sorts and links situations on ints; these shapes hold every case
+# of voter, peak and invited order: every shape of up to 4 voters on 2 to 5
+# points, fig2, the deep demo, and voters whose names sort apart from their
+# numbers (v10 < v11 < v2 < v9)
+def _integer_order_instances() -> list[Instance]:
+    out = [instances_for(graph, uniform_grid(points))[0] for points in (2, 3, 4, 5) for graph in tree_shapes(4, 4)]
+    numbered = InvitationGraph(frozenset(["v9", "v10"]), {"v9": frozenset(["v11"]), "v10": frozenset(["v2"])})
+    out += [make_fig2(), make_deep_demo(), Instance(numbered, dict.fromkeys(numbered.voters, F(0)), GRID3)]
+    return out
+
+
+def test_key_order_matches_sorting_the_keys():
+    for inst in _integer_order_instances():
+        space = enumeration.SituationSpace(inst)
+        assert space.key_order() == sorted(range(len(space.keys)), key=space.keys.__getitem__)
+
+
+def test_equalities_match_the_set_based_builder():
+    # each swap is emitted once and the list is sorted, with no set, so the
+    # order must come from the sort alone, under any hash seed
+    for inst in _integer_order_instances():
+        space = enumeration.SituationSpace(inst)
+        for variant in AnonymityVariant:
+            assert space.equalities(variant) == set_built_equalities(space, variant)
+
+
+@pytest.mark.parametrize("name", ["fig2", "branch-3-vr1"])
+def test_sat_model_is_a_read_only_table_in_key_order(name):
+    inst, props = SEARCH_CASES[name]
+    csp = encode(inst, props)
+    model = solve(csp).model
+    assert list(model) == list(csp.keys)
+    table = dict(zip(csp.keys, model.values()))
+    assert len(model) == len(table) == len(csp.keys)
+    assert list(model.items()) == list(table.items())
+    assert all(key in model and model[key] == table[key] for key in csp.keys)
+    assert model == table
+    absent = (("nobody", F(0), ()),)
+    assert absent not in model and model.get(absent) is None
+    with pytest.raises(TypeError):
+        model[csp.keys[0]] = inst.grid[0]
+    # a dict is sorted by key first, the table is walked as it stands
+    assert model_to_json(model) == model_to_json(dict(reversed(table.items())))
+    assert TabulatedScf(model).table == table
+    assert verify_model(inst, model, props) == verify_model(inst, table, props)
+    assert all(r.passed for r in verify_model(inst, model, props))
+
+
+def test_to_json_returns_copies_of_the_stats():
+    csp = encode(make_chain(3, 3), ["SP", "PE", "AN-S"])
+    result = solve(csp)
+    doc = result.to_json()
+    del doc["stats"]["phase_s"]
+    doc["stats"]["ac3_prunes"] = -1
+    result.to_json()["stats"]["phase_s"]["merge"] = -1.0
+    assert result.stats["phase_s"]["merge"] >= 0
+    again, fresh = result.to_json(), solve(csp).to_json()
+    for d in (again, fresh):
+        assert set(d["stats"].pop("phase_s")) == {"merge", "ac3", "search"}
+        del d["wall_time_s"]
+    assert again == fresh
