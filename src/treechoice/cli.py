@@ -7,6 +7,7 @@ was asked, 3 budget or time limit, 1 usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,12 +38,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(document: dict, out: str | None) -> None:
-    text = dump_canonical(document)
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(document: dict, out: str | None) -> None:
+    _write(dump_canonical(document), out)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -84,7 +88,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance) if args.instance else None
     report = build_matrix(instance, timeout_s=args.timeout)
     if args.format == "markdown":
-        sys.stdout.write(report["markdown"] + "\n")
+        _write(report["markdown"] + "\n", args.out)
     else:
         _emit(report, args.out)
     return EXIT_OK
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="run all cells on this instance instead of the bundled ones")
     p.add_argument("--timeout", type=float, help="per-cell search time limit in seconds")
     p.add_argument("--format", choices=["json", "markdown"], default="json")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write the JSON or markdown to this file instead of stdout")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("gen", help="generate a deterministic instance file")
@@ -157,9 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args fills a new namespace and leaves the parser as it was, so one
+# process builds the parser once, on its first call, and reuses it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, InconclusiveError) as exc:

@@ -9,24 +9,24 @@ these streams therefore produce the same minimal witness on every run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
-from .model import (
+from .model import (  # the anonymity classes and cache helpers are defined there and re-exported here
+    AnonymityVariant,
     BudgetExceededError,
     Instance,
-    InvitationGraph,
+    PermutationClass,
     ReportedType,
     SituationKey,
     VoterId,
+    _lru,
+    _memoized,
     format_rational,
     participating_voters,
-    reported_depths,
+    permutation_classes,
 )
 
 DEFAULT_PROFILE_BUDGET = 2_000_000
@@ -54,52 +54,6 @@ def enumerate_profiles(
     voters = instance.graph.voters
     for combo in itertools.product(*(instance.report_space(v) for v in voters)):
         yield dict(zip(voters, combo))
-
-
-class AnonymityVariant(Enum):
-    """Which voters may swap peaks without changing the outcome."""
-
-    FULL = "AN"
-    BY_STRUCTURE = "AN-S"
-    BY_DEPTH = "AN-D"
-    BY_STRUCTURE_DEPTH = "AN-SD"
-
-
-@dataclass(frozen=True)
-class PermutationClass:
-    key: tuple
-    members: frozenset[VoterId]
-
-
-def permutation_classes(
-    graph: InvitationGraph,
-    reports: Mapping[VoterId, ReportedType],
-    variant: AnonymityVariant,
-) -> tuple[PermutationClass, ...]:
-    """Partition of the participating voters by the variant's class key.
-
-    Structure means the reported invited-children count; depth means the
-    reported distance from the moderator. Classes are computed from the
-    reported graph, the only structure an outcome rule observes. Reports are
-    not validated against the graph, so a situation's reports, which hold
-    only the participants, are accepted too.
-    """
-    depths = reported_depths(graph, reports, validate=False)
-    groups: dict[tuple, set[VoterId]] = {}
-    for v, d in depths.items():
-        k = len(reports[v].invited)
-        if variant is AnonymityVariant.FULL:
-            key: tuple = ("all",)
-        elif variant is AnonymityVariant.BY_STRUCTURE:
-            key = ("structure", k)
-        elif variant is AnonymityVariant.BY_DEPTH:
-            key = ("depth", d)
-        else:
-            key = ("structure-depth", k, d)
-        groups.setdefault(key, set()).add(v)
-    return tuple(
-        PermutationClass(key, frozenset(members)) for key, members in sorted(groups.items())
-    )
 
 
 def peak_permutations(
@@ -170,34 +124,6 @@ def deviation_space_size(
 SPACE_CACHE_SIZE = 4  # shapes kept; a peak sweep visits one shape's assignments in a row
 
 
-def _lru(cache: OrderedDict, key, size: int, build):
-    """``cache[key]``, built by ``build()`` if missing; ``cache`` keeps the ``size`` keys used last."""
-    out = cache.pop(key, None)
-    if out is None:
-        out = build()
-    cache[key] = out
-    if len(cache) > size:
-        cache.popitem(last=False)
-    return out
-
-
-def _memoized(build):
-    """A method computed once per object and arguments, kept in its ``_memo`` and evicted with it.
-
-    ``SituationSpace`` and ``properties.RuleTable`` memoize this way.
-    """
-
-    @functools.wraps(build)
-    def method(self, *args):
-        key = (build.__name__, *args)
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = build(self, *args)
-        return out
-
-    return method
-
-
 class SituationSpace:
     """The profile, deviation and anonymity streams of one tree shape, as ints.
 
@@ -233,7 +159,8 @@ class SituationSpace:
       reports in ``report_space`` order.
     - ``classes(variant)`` lists, for each situation, its anonymity classes
       of two or more voters, each as (class key, voter indices), in key
-      order.
+      order. They are computed once per participation set, which every
+      situation of the set shares.
     - ``permutations(s, variant)`` yields the peak permutations within the
       classes of situation ``s`` in ``check_anonymity``'s order, each as
       (class key, member indices, permuted peak grid indices, permuted
@@ -241,12 +168,20 @@ class SituationSpace:
       to find the permutation its witness cites.
     - ``orbits(variant)`` lists every orbit of two or more situations, the
       situations that permuting one class's peaks reaches from each other,
-      as ascending tuples ordered by least member; the check reads each
-      orbit once.
+      as ascending tuples ordered by least member, then class index; the
+      check reads each orbit once.
+    - ``orbits`` and ``equalities`` are laid out once per participation set
+      and class, with no per-situation work. One walk visits each set's
+      first situation, where every participant reports peak 0, and gives
+      each class the positions where its members all report peak 0, by
+      stepping the other participants' peaks by their ``units``. One
+      template per members tuple lists every arrangement of their peaks as
+      an offset from such a position: grouped by multiset for the orbits,
+      and as the swaps of two members' unequal peaks for the equalities.
     - ``starts[s]`` is the position where situation ``s`` first appears in
       ``enumerate_profiles``, the profile where every voter not taking part
-      reports its first report; ``with_peaks`` moves from it by one stride
-      per moved peak.
+      reports its first report; ``with_peaks`` moves from it by ``units[k]``
+      per grid step of voter ``k``'s peak.
     - ``hulls`` is (lows, highs): ``lows[s]`` and ``highs[s]`` are the
       lowest and highest peak grid index that a voter taking part in
       situation ``s`` reports. ``direct_hulls`` is the same over the
@@ -254,7 +189,10 @@ class SituationSpace:
       the situations fills both; the PE and depth-1 checks and the
       search's domains read them.
     - ``strides[k]`` is how far apart two positions are whose profiles
-      differ by one in voter ``k``'s report index and in nothing else.
+      differ by one in voter ``k``'s report index and in nothing else, and
+      ``units[k]``, ``invitations[k]`` strides, how far apart they are when
+      they differ by one in voter ``k``'s peak alone. Each unit is at least
+      ``points`` times the next.
     - ``profile_json(position, omit)`` spells the profile at ``position``,
       without voter ``omit``, as every report and witness spells a
       profile: per voter, in order, its peak by ``format_rational`` and its
@@ -269,7 +207,8 @@ class SituationSpace:
       over variables numbered by ascending key, one per key:
       ``variables()``, the variable of each situation and the keys in
       variable order; ``domains(pe, depth1_hull)``, the hull bitmask per
-      variable; ``equalities(variant)``, the anonymity equalities;
+      variable; ``equalities(variant)``, the anonymity equalities, one per
+      swap of two class members' unequal peaks;
       ``deviation_vars(voter)``, the voter's distinct deviation groups as
       variables, which the next two read; ``sp_rows(mode)``, the SP
       constraints of mode ``full`` or ``diffusion`` as rows over those
@@ -280,8 +219,8 @@ class SituationSpace:
       ``properties.rule_table`` fills and bounds. The checkers' scan units
       are memoized on each table, so they are evicted with it.
 
-    Deviation contexts, classes, orbits, the key order, the spelled strings
-    and the encoding blocks are computed on first use and kept on the space
+    Deviation contexts, classes, orbits, the anonymity templates, the key
+    order, the spelled strings and the encoding blocks are computed on first use and kept on the space
     (``_memoized``), so they are evicted with it: every matrix cell and
     search on one shape and grid shares them, and a shape that leaves the
     cache rebuilds them.
@@ -367,6 +306,7 @@ class SituationSpace:
         self.points = points
         self.tables: OrderedDict = OrderedDict()
         self.strides = strides
+        self.units = [n * stride for n, stride in zip(self.invitations, strides)]
         self._memo = {}  # what the ``_memoized`` methods computed, by name and arguments
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
@@ -435,8 +375,7 @@ class SituationSpace:
         """
         digits, position = self.digits[sid], self.starts[sid]
         for k, peak in zip(members, peaks):
-            n = self.invitations[k]
-            position += (peak - digits[k] // n) * n * self.strides[k]
+            position += (peak - digits[k] // self.invitations[k]) * self.units[k]
         return self.profile_sids[position]
 
     @_memoized
@@ -478,32 +417,76 @@ class SituationSpace:
                 if perm != peaks:
                     yield key, members, perm, self.with_peaks(sid, members, perm)
 
+    def _walk(self, variant: AnonymityVariant) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
+        """Per participation set and class of two or more: (class index, member indices, positions).
+
+        The positions are where the set's situations with every member
+        reporting peak 0 first appear. Ids follow first positions and a peak
+        is the high part of a digit, so the set's first situation is the one
+        where every participant reports peak 0; each other participant's peak
+        steps from it by the participant's unit.
+        """
+        seen = set()
+        for sid, (reached, classes) in enumerate(zip(self.reached, self.classes(variant))):
+            if classes and reached not in seen:
+                seen.add(reached)
+                for c, (_, members) in enumerate(classes):
+                    bases = [self.starts[sid]]
+                    for k, unit in enumerate(self.units):
+                        if reached >> k & 1 and k not in members:
+                            bases = [base + p * unit for base in bases for p in range(self.points)]
+                    yield c, members, bases
+
+    @_memoized
+    def _template(self, members: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
+        """Every arrangement of peaks over voters ``members``, as offsets from where all report peak 0.
+
+        Returns the offsets of each multiset of peaks with two or more
+        arrangements, ascending, and each swap of members i < j whose peaks
+        are a < b, as the offsets it moves from and to. Peak vectors are
+        expanded in ``itertools.product`` order, which is ascending offset
+        order, since each unit is at least ``points`` times the next.
+        """
+        points, units = self.points, [self.units[k] for k in members]
+        size = len(members) + 1  # a multiset's code counts each peak q in the digit of size**q
+        offsets, codes = [0], [0]
+        for unit in units:
+            offsets = [offset + p * unit for offset in offsets for p in range(points)]
+            codes = [code + size**p for code in codes for p in range(points)]
+        groups, froms, tos = {}, [], []
+        for code, offset in zip(codes, offsets):
+            groups.setdefault(code, []).append(offset)
+        # a unit is ``points`` times a multiple of every later unit, and more
+        # than all the later members' peaks add, so offset // unit % points
+        # is the member's peak; a swap moves the offset as in ``with_peaks``
+        peaks = [[offset // unit % points for offset in offsets] for unit in units]
+        for (unit_i, peaks_i), (unit_j, peaks_j) in itertools.combinations(zip(units, peaks), 2):
+            for offset, a, b in zip(offsets, peaks_i, peaks_j):
+                if a < b:
+                    froms.append(offset)
+                    tos.append(offset + (b - a) * (unit_i - unit_j))
+        return [offsets for offsets in groups.values() if len(offsets) > 1], froms, tos
+
     @_memoized
     def orbits(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
-        """Every class orbit of two or more situations, ordered by least member.
+        """Every class orbit of two or more situations, ordered by least member, then class.
 
         The orbit of a situation and one of its classes holds the situations
         reached by permuting that class's peaks, ascending. Its members share
         their classes, since invitations stay put, so a situation has a
         permutation that moves the outcome exactly when one of its orbits is
-        not constant. Situations are walked in id order, so each orbit is
-        found from its least member and the list comes ordered by it.
+        not constant. Each comes from one position of the walk and one
+        multiset of the class's template.
         """
-        covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
-        out = []
-        for sid, own in enumerate(self.classes(variant)):
-            for c, (_, members) in enumerate(own):
-                if covered[sid] >> c & 1:
-                    continue
-                peaks = self.peaks(sid, members)
-                if min(peaks) == max(peaks):  # the orbit is the situation alone
-                    continue
-                perms = set(itertools.permutations(peaks))
-                orbit = sorted([self.with_peaks(sid, members, perm) for perm in perms])
-                for other in orbit:
-                    covered[other] |= 1 << c
-                out.append(tuple(orbit))
-        return out
+        sids, found = self.profile_sids, []
+        for c, members, bases in self._walk(variant):
+            groups = self._template(members)[0]
+            for base in bases:
+                for offsets in groups:
+                    orbit = tuple([sids[base + offset] for offset in offsets])
+                    found.append((orbit[0], c, orbit))
+        found.sort()
+        return [orbit for *_, orbit in found]
 
     @_memoized
     def key_order(self) -> list[int]:
@@ -559,22 +542,17 @@ class SituationSpace:
         """The pairs (a, b), a < b, of variables that swapping two class members' peaks links, ascending.
 
         A swap links two situations, and is emitted once: from the one where
-        the lower-indexed member has the lower peak. So no pair repeats, and
-        the order comes from the sort alone.
+        the lower-indexed member has the lower peak, as the class's template
+        lists it. So no pair repeats, and the order comes from the sort alone.
         """
         var, _ = self.variables()
-        sids = self.profile_sids
-        # swapping peaks a and b of voters i and j moves a position by
-        # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
-        unit = [n * stride for n, stride in zip(self.invitations, self.strides)]
-        pairs = []
-        for sid, classes in enumerate(self.classes(variant)):
-            base, start = var[sid], self.starts[sid]
-            for _, members in classes:
-                for (i, a), (j, b) in itertools.combinations(zip(members, self.peaks(sid, members)), 2):
-                    if a < b:
-                        other = var[sids[start + (b - a) * (unit[i] - unit[j])]]
-                        pairs.append((base, other) if base < other else (other, base))
+        sids, pairs = self.profile_sids, []
+        for _, members, bases in self._walk(variant):
+            _, froms, tos = self._template(members)
+            for base in bases:
+                for x, y in zip(froms, tos):
+                    a, b = var[sids[base + x]], var[sids[base + y]]
+                    pairs.append((a, b) if a < b else (b, a))
         pairs.sort()
         return tuple(pairs)
 

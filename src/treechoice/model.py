@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import OrderedDict
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from enum import Enum
@@ -323,6 +324,52 @@ def n_s(graph: InvitationGraph, reports: Mapping[VoterId, ReportedType], k: int)
     return frozenset(v for v in participating if len(reports[v].invited) == k)
 
 
+class AnonymityVariant(Enum):
+    """Which voters may swap peaks without changing the outcome."""
+
+    FULL = "AN"
+    BY_STRUCTURE = "AN-S"
+    BY_DEPTH = "AN-D"
+    BY_STRUCTURE_DEPTH = "AN-SD"
+
+
+@dataclass(frozen=True)
+class PermutationClass:
+    key: tuple
+    members: frozenset[VoterId]
+
+
+def permutation_classes(
+    graph: InvitationGraph,
+    reports: Mapping[VoterId, ReportedType],
+    variant: AnonymityVariant,
+) -> tuple[PermutationClass, ...]:
+    """Partition of the participating voters by the variant's class key.
+
+    Structure means the reported invited-children count; depth means the
+    reported distance from the moderator. Classes are computed from the
+    reported graph, the only structure an outcome rule observes. Reports are
+    not validated against the graph, so a situation's reports, which hold
+    only the participants, are accepted too.
+    """
+    depths = reported_depths(graph, reports, validate=False)
+    groups: dict[tuple, set[VoterId]] = {}
+    for v, d in depths.items():
+        k = len(reports[v].invited)
+        if variant is AnonymityVariant.FULL:
+            key: tuple = ("all",)
+        elif variant is AnonymityVariant.BY_STRUCTURE:
+            key = ("structure", k)
+        elif variant is AnonymityVariant.BY_DEPTH:
+            key = ("depth", d)
+        else:
+            key = ("structure-depth", k, d)
+        groups.setdefault(key, set()).add(v)
+    return tuple(
+        PermutationClass(key, frozenset(members)) for key, members in sorted(groups.items())
+    )
+
+
 def report_space(
     true_type: TrueType,
     grid: Iterable[Fraction],
@@ -482,3 +529,31 @@ class _SortedItems(ItemsView):
 class _SortedValues(ValuesView):
     def __iter__(self):
         return iter(self._mapping._values)
+
+
+def _lru(cache: OrderedDict, key, size: int, build):
+    """``cache[key]``, built by ``build()`` if missing; ``cache`` keeps the ``size`` keys used last."""
+    out = cache.pop(key, None)
+    if out is None:
+        out = build()
+    cache[key] = out
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return out
+
+
+def _memoized(build):
+    """A method computed once per object and arguments, kept in its ``_memo`` and evicted with it.
+
+    ``enumeration.SituationSpace`` and ``properties.RuleTable`` memoize this way.
+    """
+
+    @functools.wraps(build)
+    def method(self, *args):
+        key = (build.__name__, *args)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build(self, *args)
+        return out
+
+    return method

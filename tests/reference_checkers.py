@@ -10,8 +10,9 @@ the deviation loops scan, and ``profile_to_json`` how every loop spells a
 profile. ``find_dominating_point`` is the definitional efficiency oracle
 the hull tests compare with.
 ``situation_numbering`` is the same kind of oracle for the situation
-space's constructor, ``tabulate`` for ``properties.rule_table``, and
-``set_built_equalities`` for ``SituationSpace.equalities``.
+space's constructor, ``tabulate`` for ``properties.rule_table``,
+``set_built_equalities`` for ``SituationSpace.equalities``, and
+``walked_orbits`` for ``SituationSpace.orbits``.
 """
 
 from __future__ import annotations
@@ -131,6 +132,31 @@ def set_built_equalities(space, variant: AnonymityVariant) -> tuple[tuple[int, i
                     other = var[sids[start + (b - a) * (unit[i] - unit[j])]]
                     pairs.add((min(base, other), max(base, other)))
     return tuple(sorted(pairs))
+
+
+def walked_orbits(space, variant: AnonymityVariant) -> list[tuple[int, ...]]:
+    """``SituationSpace.orbits`` as it was built before the per-set templates.
+
+    Situations are walked one at a time in id order, and each orbit is found
+    from its least member by permuting the class's peaks; the body is the
+    space method's, unchanged.
+    """
+    self = space
+    covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
+    out = []
+    for sid, own in enumerate(self.classes(variant)):
+        for c, (_, members) in enumerate(own):
+            if covered[sid] >> c & 1:
+                continue
+            peaks = self.peaks(sid, members)
+            if min(peaks) == max(peaks):  # the orbit is the situation alone
+                continue
+            perms = set(itertools.permutations(peaks))
+            orbit = sorted([self.with_peaks(sid, members, perm) for perm in perms])
+            for other in orbit:
+                covered[other] |= 1 << c
+            out.append(tuple(orbit))
+    return out
 
 
 def tabulate(scf: SocialChoiceFunction, instance: Instance) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:

@@ -218,11 +218,64 @@ def test_malformed_report_and_gmvs_files_are_path_qualified(tmp_path, capsys, op
     assert error["error"].startswith(f"{path}{at}: ")
 
 
-def test_matrix_markdown_smoke(capsys):
+def test_matrix_markdown_smoke(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "matrix", "--format", "markdown")
     assert code == 0
     assert "| VR-2 |" in out
     assert "AN-SD" in out
+    # --out takes the markdown, trailing newline and all, and stdout stays empty
+    path = tmp_path / "matrix.md"
+    assert run_cli(capsys, "matrix", "--format", "markdown", "--out", str(path)) == (0, "", "")
+    assert path.read_text() == out and out.endswith("|\n")
+
+
+def _without_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _without_timings(v) for k, v in doc.items() if k not in ("wall_time_s", "phase_s")}
+    if isinstance(doc, list):
+        return [_without_timings(v) for v in doc]
+    return doc
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; each call must give the exit code and bytes it
+    # gives with a parser built for it alone, whatever the calls before it
+    # set: markdown and --out before a plain matrix, --ambiguous-ok before a
+    # plain check, a usage error in between
+    fig2 = tmp_path / "fig2.json"
+    assert main(["gen", "--shape", "fig2", "--out", str(fig2)]) == 0
+    check = ["check", "--scf", "depth-weighted-median", "--instance", str(fig2)]
+    calls = [
+        ["matrix", "--format", "markdown", "--out", "{dir}/matrix.md"],
+        ["matrix", "--out", "{dir}/matrix.json"],
+        ["matrix", "--format", "markdown"],
+        [*check, "--property", "AN-D", "--ambiguous-ok", "--out", "{dir}/check.json"],
+        [*check, "--property", "SP"],
+        ["check", "--scf", "depth-weighted-median", "--property", "SP"],
+        ["search-csp", "--instance", str(fig2), "--properties", "SP,PE,AN-SD,VR-2"],
+        ["matrix", "--format", "xml"],
+    ]
+
+    def run_all(folder):
+        folder.mkdir()
+        runs = []
+        for argv in calls:
+            try:
+                code = main([arg.format(dir=folder) for arg in argv])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            out, err = capsys.readouterr()
+            texts = {"stdout": out, **{path.name: path.read_text() for path in folder.iterdir()}}
+            docs = {name: _without_timings(json.loads(text)) if text.startswith("{") else text for name, text in texts.items()}
+            runs.append((code, err, docs))
+        return runs
+
+    reused = run_all(tmp_path / "reused")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+    fresh = run_all(tmp_path / "fresh")
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 1, 0, 1]
+    assert reused == fresh
 
 
 def _json_canonical(doc) -> str:

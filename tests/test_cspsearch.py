@@ -57,7 +57,7 @@ from treechoice.fileio import (
     uniform_grid,
 )
 from conftest import instances_for, make_deep_demo, space_never_built, tree_shapes
-from reference_checkers import set_built_equalities
+from reference_checkers import set_built_equalities, walked_orbits
 import reference_solver
 
 F = Fraction
@@ -794,13 +794,31 @@ def test_key_order_matches_sorting_the_keys():
         assert space.key_order() == sorted(range(len(space.keys)), key=space.keys.__getitem__)
 
 
+# The anonymity blocks are laid out once per participation set and class,
+# from one template per members tuple; the shapes of five voters add
+# classes of five members
+def _anonymity_instances() -> list[Instance]:
+    five = [graph for graph in tree_shapes(5, 5) if len(graph.voters) == 5]
+    return _integer_order_instances() + [instances_for(graph, GRID3)[0] for graph in five]
+
+
 def test_equalities_match_the_set_based_builder():
     # each swap is emitted once and the list is sorted, with no set, so the
     # order must come from the sort alone, under any hash seed
-    for inst in _integer_order_instances():
+    for inst in _anonymity_instances():
         space = enumeration.SituationSpace(inst)
         for variant in AnonymityVariant:
             assert space.equalities(variant) == set_built_equalities(space, variant)
+
+
+def test_orbits_match_the_situation_walk():
+    # templates are grouped in a dict keyed by ints and the orbits of all sets
+    # are sorted once, so their order must come from that sort alone, under
+    # any hash seed
+    for inst in _anonymity_instances():
+        space = enumeration.SituationSpace(inst)
+        for variant in AnonymityVariant:
+            assert space.orbits(variant) == walked_orbits(space, variant)
 
 
 @pytest.mark.parametrize("name", ["fig2", "branch-3-vr1"])
