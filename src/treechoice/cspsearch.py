@@ -106,7 +106,9 @@ class Csp:
     ``grid[p]`` weakly prefer variable ``t``'s outcome to variable ``d``'s.
     ``sp_rows`` holds them by deviation group: a row ``(t, p, ds)`` stands
     for ``(t, d, p)`` for each ``d`` of ``ds`` other than ``t``.
-    ``sp_constraints`` spells the rows out, ascending.
+    ``sp_constraints`` spells the rows out, ascending. ``equalities`` are
+    pairs ``(a, b)``, a < b, ascending: links that span each anonymity
+    orbit, so their closure is the anonymity merge, not one pair per swap.
     """
 
     instance: Instance
@@ -637,7 +639,7 @@ def verify_model(
 ) -> list[CheckReport]:
     """Replay a table through the property checkers; Sat models must pass all."""
     props = normalize_properties(properties)
-    space = _situation_space(instance, CspOptions())
+    space = situation_space(instance)
     scf = TabulatedScf(model)
     missing = sum(1 for key in space.keys if key not in scf.table)
     if missing:

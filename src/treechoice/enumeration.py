@@ -170,14 +170,13 @@ class SituationSpace:
       situations that permuting one class's peaks reaches from each other,
       as ascending tuples ordered by least member, then class index; the
       check reads each orbit once.
-    - ``orbits`` and ``equalities`` are laid out once per participation set
-      and class, with no per-situation work. One walk visits each set's
-      first situation, where every participant reports peak 0, and gives
-      each class the positions where its members all report peak 0, by
-      stepping the other participants' peaks by their ``units``. One
-      template per members tuple lists every arrangement of their peaks as
-      an offset from such a position: grouped by multiset for the orbits,
-      and as the swaps of two members' unequal peaks for the equalities.
+    - ``orbits`` are laid out once per participation set and class, with
+      no per-situation work. Each set's first situation is where every
+      participant reports peak 0; stepping the other participants' peaks by
+      their ``units`` gives each class the positions where its members all
+      report peak 0. One template per members tuple lists every arrangement
+      of their peaks as an offset from such a position, grouped by
+      multiset: each multiset at each position is one orbit.
     - ``starts[s]`` is the position where situation ``s`` first appears in
       ``enumerate_profiles``, the profile where every voter not taking part
       reports its first report; ``with_peaks`` moves from it by ``units[k]``
@@ -207,8 +206,8 @@ class SituationSpace:
       over variables numbered by ascending key, one per key:
       ``variables()``, the variable of each situation and the keys in
       variable order; ``domains(pe, depth1_hull)``, the hull bitmask per
-      variable; ``equalities(variant)``, the anonymity equalities, one per
-      swap of two class members' unequal peaks;
+      variable; ``equalities(variant)``, the anonymity equalities, which
+      link each orbit's situations to its least one;
       ``deviation_vars(voter)``, the voter's distinct deviation groups as
       variables, which the next two read; ``sp_rows(mode)``, the SP
       constraints of mode ``full`` or ``diffusion`` as rows over those
@@ -417,55 +416,23 @@ class SituationSpace:
                 if perm != peaks:
                     yield key, members, perm, self.with_peaks(sid, members, perm)
 
-    def _walk(self, variant: AnonymityVariant) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
-        """Per participation set and class of two or more: (class index, member indices, positions).
-
-        The positions are where the set's situations with every member
-        reporting peak 0 first appear. Ids follow first positions and a peak
-        is the high part of a digit, so the set's first situation is the one
-        where every participant reports peak 0; each other participant's peak
-        steps from it by the participant's unit.
-        """
-        seen = set()
-        for sid, (reached, classes) in enumerate(zip(self.reached, self.classes(variant))):
-            if classes and reached not in seen:
-                seen.add(reached)
-                for c, (_, members) in enumerate(classes):
-                    bases = [self.starts[sid]]
-                    for k, unit in enumerate(self.units):
-                        if reached >> k & 1 and k not in members:
-                            bases = [base + p * unit for base in bases for p in range(self.points)]
-                    yield c, members, bases
-
     @_memoized
-    def _template(self, members: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
-        """Every arrangement of peaks over voters ``members``, as offsets from where all report peak 0.
+    def _template(self, members: tuple[int, ...]) -> list[list[int]]:
+        """The arrangements of peaks over voters ``members``, as offsets from where all report peak 0.
 
         Returns the offsets of each multiset of peaks with two or more
-        arrangements, ascending, and each swap of members i < j whose peaks
-        are a < b, as the offsets it moves from and to. Peak vectors are
-        expanded in ``itertools.product`` order, which is ascending offset
-        order, since each unit is at least ``points`` times the next.
+        arrangements, ascending. Peak vectors are expanded in
+        ``itertools.product`` order, which is ascending offset order, since
+        each unit is at least ``points`` times the next.
         """
-        points, units = self.points, [self.units[k] for k in members]
         size = len(members) + 1  # a multiset's code counts each peak q in the digit of size**q
-        offsets, codes = [0], [0]
-        for unit in units:
-            offsets = [offset + p * unit for offset in offsets for p in range(points)]
-            codes = [code + size**p for code in codes for p in range(points)]
-        groups, froms, tos = {}, [], []
+        offsets, codes, groups = [0], [0], {}
+        for k in members:
+            offsets = [offset + p * self.units[k] for offset in offsets for p in range(self.points)]
+            codes = [code + size**p for code in codes for p in range(self.points)]
         for code, offset in zip(codes, offsets):
             groups.setdefault(code, []).append(offset)
-        # a unit is ``points`` times a multiple of every later unit, and more
-        # than all the later members' peaks add, so offset // unit % points
-        # is the member's peak; a swap moves the offset as in ``with_peaks``
-        peaks = [[offset // unit % points for offset in offsets] for unit in units]
-        for (unit_i, peaks_i), (unit_j, peaks_j) in itertools.combinations(zip(units, peaks), 2):
-            for offset, a, b in zip(offsets, peaks_i, peaks_j):
-                if a < b:
-                    froms.append(offset)
-                    tos.append(offset + (b - a) * (unit_i - unit_j))
-        return [offsets for offsets in groups.values() if len(offsets) > 1], froms, tos
+        return [offsets for offsets in groups.values() if len(offsets) > 1]
 
     @_memoized
     def orbits(self, variant: AnonymityVariant) -> list[tuple[int, ...]]:
@@ -475,16 +442,26 @@ class SituationSpace:
         reached by permuting that class's peaks, ascending. Its members share
         their classes, since invitations stay put, so a situation has a
         permutation that moves the outcome exactly when one of its orbits is
-        not constant. Each comes from one position of the walk and one
-        multiset of the class's template.
+        not constant. Each comes from one multiset of the class's template,
+        at one position where every member reports peak 0.
         """
-        sids, found = self.profile_sids, []
-        for c, members, bases in self._walk(variant):
-            groups = self._template(members)[0]
-            for base in bases:
-                for offsets in groups:
-                    orbit = tuple([sids[base + offset] for offset in offsets])
-                    found.append((orbit[0], c, orbit))
+        sids, found, seen = self.profile_sids, [], set()
+        for sid, (reached, classes) in enumerate(zip(self.reached, self.classes(variant))):
+            if classes and reached not in seen:
+                # ids follow first positions and a peak is the high part of a
+                # digit, so this is the set's situation where every participant
+                # reports peak 0; each other participant's peak steps by its unit
+                seen.add(reached)
+                for c, (_, members) in enumerate(classes):
+                    bases = [self.starts[sid]]
+                    for k, unit in enumerate(self.units):
+                        if reached >> k & 1 and k not in members:
+                            bases = [base + p * unit for base in bases for p in range(self.points)]
+                    groups = self._template(members)
+                    for base in bases:
+                        for offsets in groups:
+                            orbit = tuple([sids[base + offset] for offset in offsets])
+                            found.append((orbit[0], c, orbit))
         found.sort()
         return [orbit for *_, orbit in found]
 
@@ -539,20 +516,20 @@ class SituationSpace:
 
     @_memoized
     def equalities(self, variant: AnonymityVariant) -> tuple[tuple[int, int], ...]:
-        """The pairs (a, b), a < b, of variables that swapping two class members' peaks links, ascending.
+        """The variable pairs (a, b), a < b, that link each orbit's situations to its least one, ascending.
 
-        A swap links two situations, and is emitted once: from the one where
-        the lower-indexed member has the lower peak, as the class's template
-        lists it. So no pair repeats, and the order comes from the sort alone.
+        Their union-find closure is the anonymity merge: each orbit becomes
+        one merged variable, as the swaps of its class's peaks made it. An
+        orbit is fixed by any one of its situations and its class, so two
+        orbits share at most one situation: no pair repeats, and the order
+        comes from the one sort.
         """
-        var, _ = self.variables()
-        sids, pairs = self.profile_sids, []
-        for _, members, bases in self._walk(variant):
-            _, froms, tos = self._template(members)
-            for base in bases:
-                for x, y in zip(froms, tos):
-                    a, b = var[sids[base + x]], var[sids[base + y]]
-                    pairs.append((a, b) if a < b else (b, a))
+        var, pairs = self.variables()[0], []
+        for least, *rest in self.orbits(variant):
+            a = var[least]
+            for sid in rest:
+                b = var[sid]
+                pairs.append((a, b) if a < b else (b, a))
         pairs.sort()
         return tuple(pairs)
 

@@ -439,9 +439,9 @@ class Instance:
     def report_space(self, voter: VoterId, *, diffusion_only: bool = False) -> tuple[ReportedType, ...]:
         return report_space(self.true_type(voter), self.grid, diffusion_only=diffusion_only)
 
-    def report_space_size(self, voter: VoterId, *, diffusion_only: bool = False) -> int:
-        """``len(self.report_space(voter, ...))``, without building the reports."""
-        return (1 if diffusion_only else len(self.grid)) << len(self.graph.true_children(voter))
+    def report_space_size(self, voter: VoterId) -> int:
+        """``len(self.report_space(voter))``, without building the reports."""
+        return len(self.grid) << len(self.graph.true_children(voter))
 
     # Computed once per instance and kept outside the fields, so eq and repr
     # are unchanged; the fields are frozen, so neither can go stale.

@@ -53,6 +53,7 @@ from treechoice.model import preference_masks
 from treechoice.fileio import (
     make_chain,
     make_fig2,
+    make_star,
     make_two_children_one_grandchild,
     uniform_grid,
 )
@@ -485,9 +486,9 @@ def _csp_fields(csp: Csp) -> tuple:
     return csp.keys, csp.domains, csp.equalities, csp.sp_rows, csp.vr_constraints, csp.to_json()
 
 
-def _solve_doc(csp: Csp) -> dict:
+def _solve_doc(csp: Csp, order_seed: int | None = None) -> dict:
     """The document of ``solve``, without ``wall_time_s`` and ``phase_s``."""
-    doc = solve(csp).to_json()
+    doc = solve(csp, order_seed=order_seed).to_json()
     del doc["wall_time_s"]
     del doc["stats"]["phase_s"]
     return doc
@@ -528,6 +529,35 @@ def test_warm_encodings_match_cold_ones_on_every_small_shape(monkeypatch):
             if props[0] == "SP" and "PE" in props:
                 assert _csp_dump(csp) == _csp_dump(cold), (graph, props, options)
                 assert _solve_doc(csp) == _solve_doc(cold), (graph, props, options)
+
+
+def test_solve_ignores_which_spanning_links_it_gets():
+    # the equalities link each orbit to its least situation; the set-based
+    # builder's one pair per swap spans the same classes, so the merge, and
+    # every verdict, model, node and prune after it, must be the same
+    sets = (["SP", "PE", "AN", "VR-1"], ["SP", "PE", "AN-S", "VR-2"], ["SP-D", "PE", "AN-D"], ["SP", "PE", "AN-SD", "VR-2"])
+    for inst in [instances_for(graph, GRID3)[0] for graph in tree_shapes(4, 4)] + [make_fig2()]:
+        space = enumeration.situation_space(inst)
+        for props in sets:
+            csp = encode(inst, props)
+            swaps = dataclasses.replace(csp, equalities=set_built_equalities(space, AnonymityVariant(props[2])))
+            for order_seed in (None, 1, 7):
+                docs = [_solve_doc(c, order_seed) for c in (csp, swaps)]
+                for doc in docs:
+                    del doc["stats"]["anon_equalities"]
+                assert docs[0] == docs[1], (inst.graph, props, order_seed)
+
+
+def test_verify_model_replays_beyond_the_variable_budget():
+    # the variable budget bounds the search; a model solved under a raised
+    # one replays within the profile budget alone
+    inst = make_star(5, 8)
+    props = ["PE", "AN"]
+    csp = encode(inst, props, CspOptions(variable_budget=100_000))
+    assert len(csp.keys) > CspOptions().variable_budget
+    result = solve(csp)
+    assert result.sat
+    assert all(report.passed for report in verify_model(inst, result.model, props))
 
 
 def test_encodings_share_blocks_but_not_domains(monkeypatch):
@@ -802,13 +832,39 @@ def _anonymity_instances() -> list[Instance]:
     return _integer_order_instances() + [instances_for(graph, GRID3)[0] for graph in five]
 
 
+def _merged(n: int, pairs) -> list[int]:
+    """Each of ``n`` variables' least variable in its class under the union-find closure of ``pairs``."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
 def test_equalities_match_the_set_based_builder():
-    # each swap is emitted once and the list is sorted, with no set, so the
-    # order must come from the sort alone, under any hash seed
+    # the equalities link each orbit's situations to its least one, where the
+    # set-based builder gave one pair per swap: fewer pairs, the same merge.
+    # They are collected in a list and sorted once, with no set, so their
+    # order must come from that sort alone, under any hash seed
     for inst in _anonymity_instances():
         space = enumeration.SituationSpace(inst)
+        var, keys = space.variables()
         for variant in AnonymityVariant:
-            assert space.equalities(variant) == set_built_equalities(space, variant)
+            pairs, orbits = space.equalities(variant), space.orbits(variant)
+            assert _merged(len(keys), pairs) == _merged(len(keys), set_built_equalities(space, variant))
+            assert len(pairs) == sum(len(orbit) - 1 for orbit in orbits)
+            assert all(a < b for a, b in pairs) and all(p < q for p, q in zip(pairs, pairs[1:]))
+            orbits_of = [set() for _ in keys]  # per variable, the orbits holding it
+            for i, orbit in enumerate(orbits):
+                for sid in orbit:
+                    orbits_of[var[sid]].add(i)
+            assert all(orbits_of[a] & orbits_of[b] for a, b in pairs)
 
 
 def test_orbits_match_the_situation_walk():
