@@ -38,6 +38,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(kind: type):
+    """An argparse type: ``kind`` of the text, refused below 0 (and as NaN); 0 stays legal."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be a non-negative {kind.__name__}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -127,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scf", required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--property", required=True, help="SP, SP-D, PE, ONTO, AN, AN-S, AN-D, AN-SD, VR-<d>, DEPTH1-HULL")
-    p.add_argument("--budget", type=int, default=DEFAULT_PROFILE_BUDGET)
+    p.add_argument("--budget", type=_non_negative(int), default=DEFAULT_PROFILE_BUDGET)
     p.add_argument("--ambiguous-ok", action="store_true", help="do not count ambiguous comparisons as violations")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("matrix", help="existence matrix with evidence artifacts")
     p.add_argument("--instance", help="run all cells on this instance instead of the bundled ones")
-    p.add_argument("--timeout", type=float, help="per-cell search time limit in seconds")
+    p.add_argument("--timeout", type=_non_negative(float), help="per-cell search time limit in seconds")
     p.add_argument("--format", choices=["json", "markdown"], default="json")
     p.add_argument("--out", help="write the JSON or markdown to this file instead of stdout")
     p.set_defaults(func=cmd_matrix)
@@ -153,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--properties", required=True, help="comma-separated, e.g. SP,PE,AN-S")
     p.add_argument("--depth1-hull", action="store_true", help="add the implied depth-1 hull restriction")
     p.add_argument("--order-seed", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--variable-budget", type=int, default=CspOptions().variable_budget)
+    p.add_argument("--timeout", type=_non_negative(float))
+    p.add_argument("--variable-budget", type=_non_negative(int), default=CspOptions().variable_budget)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search_csp)
 

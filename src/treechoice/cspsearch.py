@@ -200,8 +200,8 @@ def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
 def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
     """The instance's shared situation space, within the variable budget."""
     space = situation_space(instance)
-    if len(space.keys) > options.variable_budget:
-        raise BudgetExceededError(len(space.keys), options.variable_budget, what="CSP variable")
+    if len(space.digits) > options.variable_budget:
+        raise BudgetExceededError(len(space.digits), options.variable_budget, what="CSP variable")
     return space
 
 

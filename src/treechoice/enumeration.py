@@ -22,6 +22,7 @@ from .model import (  # the anonymity classes and cache helpers are defined ther
     ReportedType,
     SituationKey,
     VoterId,
+    _first_indices,
     _lru,
     _memoized,
     format_rational,
@@ -129,7 +130,9 @@ class SituationSpace:
 
     A situation is what an outcome rule observes (``situation_key``); ids
     number the situations in order of first appearance in
-    ``enumerate_profiles``, and ``keys[s]`` is situation ``s``. Report
+    ``enumerate_profiles``, and ``keys[s]`` is situation ``s``, spelled
+    out on first use: the checkers read only ints, and the keys are built
+    for the search's variables, a Sat model or a tabulation. Report
     spaces, participation and situations read only the graph and the grid,
     never true peaks, so every peak assignment of a shape shares one space
     (see ``situation_space``). The space holds no profiles: a checker that
@@ -152,15 +155,20 @@ class SituationSpace:
       in their participants' peaks. Rule tabulation computes a weighted
       median's weights, and ``classes`` the anonymity classes, once per
       such set.
-    - ``deviation_groups(voter)`` yields, for each context, a joint report
-      of the others under which the voter takes part, in lexicographic
-      order, the position of the context's profile where the voter reports
-      ``reports[voter][0]``, and the situation of each of the voter's
-      reports in ``report_space`` order.
-    - ``classes(variant)`` lists, for each situation, its anonymity classes
-      of two or more voters, each as (class key, voter indices), in key
-      order. They are computed once per participation set, which every
-      situation of the set shares.
+    - ``deviation_block(voter)`` is one walk of the voter's contexts, the
+      joint reports of the others under which it takes part, in
+      lexicographic order. Each context gives a deviation group, the
+      situation of each of the voter's reports in ``report_space`` order;
+      the block keeps each distinct group once, in order of first
+      appearance, with the ordinal and position of its first context, and
+      counts the contexts. The checkers' SP and VR scans
+      (``properties.RuleTable.rows``) and the encoder's ``deviation_vars``
+      both read it.
+    - ``set_classes(variant)`` maps each participation set to its anonymity
+      classes of two or more voters, each as (class key, voter indices), in
+      key order, computed once per set from the report digits of its first
+      situation (``set_starts``); ``classes(variant)`` hands them to each
+      situation.
     - ``permutations(s, variant)`` yields the peak permutations within the
       classes of situation ``s`` in ``check_anonymity``'s order, each as
       (class key, member indices, permuted peak grid indices, permuted
@@ -171,7 +179,8 @@ class SituationSpace:
       as ascending tuples ordered by least member, then class index; the
       check reads each orbit once.
     - ``orbits`` are laid out once per participation set and class, with
-      no per-situation work. Each set's first situation is where every
+      no per-situation work: the walk visits the sets, not the situations.
+      Each set's first situation is where every
       participant reports peak 0; stepping the other participants' peaks by
       their ``units`` gives each class the positions where its members all
       report peak 0. One template per members tuple lists every arrangement
@@ -218,11 +227,11 @@ class SituationSpace:
       ``properties.rule_table`` fills and bounds. The checkers' scan units
       are memoized on each table, so they are evicted with it.
 
-    Deviation contexts, classes, orbits, the anonymity templates, the key
-    order, the spelled strings and the encoding blocks are computed on first use and kept on the space
-    (``_memoized``), so they are evicted with it: every matrix cell and
-    search on one shape and grid shares them, and a shape that leaves the
-    cache rebuilds them.
+    The keys, deviation blocks, classes, orbits, the anonymity templates, the
+    key order, the spelled strings and the encoding blocks are computed on
+    first use and kept on the space (``_memoized``), so they are evicted
+    with it: every matrix cell and search on one shape and grid shares
+    them, and a shape that leaves the cache rebuilds them.
     """
 
     def __init__(self, instance: Instance) -> None:
@@ -234,9 +243,7 @@ class SituationSpace:
         sizes = [len(self.reports[v]) for v in voters]
         strides = [math.prod(sizes[k + 1 :]) for k in range(len(voters))]
         bit = {v: 1 << k for k, v in enumerate(voters)}
-        # per voter and report: its key entry, shared by every key that holds
-        # it, and the bits of the voters it invites
-        entries = [[(v, rep.peak, tuple(sorted(rep.invited))) for rep in self.reports[v]] for v in voters]
+        # per voter and report: the bits of the voters it invites
         invites = [[sum(bit[c] for c in rep.invited) for rep in self.reports[v]] for v in voters]
 
         # One walk in tree order, parents first: a voter that takes part
@@ -295,11 +302,6 @@ class SituationSpace:
             for p in offsets:
                 sids[start + p] = sid
 
-        # from lists, not generators: a tuple built from a generator is
-        # over-allocated, then shrunk, which fragments the heap
-        self.keys: tuple[SituationKey, ...] = tuple(
-            [tuple([entries[k][r] for k, r in enumerate(digits) if r >= 0]) for digits in self.digits]
-        )
         self.profile_sids = sids
         self.grid = instance.grid
         self.points = points
@@ -307,6 +309,19 @@ class SituationSpace:
         self.strides = strides
         self.units = [n * stride for n, stride in zip(self.invitations, strides)]
         self._memo = {}  # what the ``_memoized`` methods computed, by name and arguments
+
+    @property
+    def keys(self) -> tuple[SituationKey, ...]:
+        """``keys[s]`` spells situation ``s`` out, as ``situation_key`` does; built on first use."""
+        return self._keys()
+
+    @_memoized
+    def _keys(self) -> tuple[SituationKey, ...]:
+        # per voter and report: its key entry, shared by every key that holds it;
+        # from lists, not generators: a tuple built from a generator is
+        # over-allocated, then shrunk, which fragments the heap
+        entries = [[(v, rep.peak, tuple(sorted(rep.invited))) for rep in row] for v, row in self.reports.items()]
+        return tuple([tuple([entries[k][r] for k, r in enumerate(digits) if r >= 0]) for digits in self.digits])
 
     def profile_at(self, position: int) -> dict[VoterId, ReportedType]:
         """The profile at ``position`` in ``enumerate_profiles`` order."""
@@ -339,7 +354,18 @@ class SituationSpace:
         return out
 
     @_memoized
-    def _contexts(self, voter: VoterId) -> tuple[int, int, list[int]]:
+    def deviation_block(self, voter: VoterId) -> tuple[list[tuple[int, ...]], list[int], list[int], int]:
+        """The voter's distinct deviation groups, each at its first context, and the count of contexts.
+
+        Returns (groups, ordinals, positions, contexts): each group is the
+        situation of each of the voter's reports, in ``report_space`` order,
+        under one joint report of the others under which the voter takes
+        part. Groups come in order of first appearance, the contexts in
+        lexicographic order of the others' reports; ``ordinals[i]`` is the
+        index among the contexts of group ``i``'s first one, and
+        ``positions[i]`` the position of that context's profile where the
+        voter reports ``reports[voter][0]``.
+        """
         # a profile's position is mixed-radix over the voters, the last
         # fastest; the positions where this voter's digit is 0 list the
         # others' joint reports in lexicographic order, and participation
@@ -347,19 +373,16 @@ class SituationSpace:
         k = self.graph.voters.index(voter)
         stride = self.strides[k]
         block = stride * len(self.reports[voter])
-        sids, digits = self.profile_sids, self.digits
+        sids, reached = self.profile_sids, self.reached
         starts = [
             pos
             for start in range(0, len(sids), block)
             for pos in range(start, start + stride)
-            if digits[sids[pos]][k] >= 0
+            if reached[sids[pos]] >> k & 1
         ]
-        return stride, block, starts
-
-    def deviation_groups(self, voter: VoterId) -> Iterator[tuple[int, list[int]]]:
-        stride, block, starts = self._contexts(voter)
-        for pos in starts:
-            yield pos, self.profile_sids[pos : pos + block : stride]
+        groups = [tuple(sids[pos : pos + block : stride]) for pos in starts]
+        ordinals = _first_indices(groups)
+        return [groups[i] for i in ordinals], ordinals, [starts[i] for i in ordinals], len(starts)
 
     def peaks(self, sid: int, members: Sequence[int]) -> tuple[int, ...]:
         """The grid indices of the peaks voters ``members`` report in situation ``sid``."""
@@ -378,26 +401,36 @@ class SituationSpace:
         return self.profile_sids[position]
 
     @_memoized
-    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
-        """Per situation, its ``permutation_classes`` of two or more voters, as (key, voter indices).
+    def set_classes(self, variant: AnonymityVariant) -> dict[int, tuple[tuple[tuple, tuple[int, ...]], ...]]:
+        """Per participation set (``reached``), its classes of two or more voters, as (key, voter indices).
 
-        Classes read only who takes part and what they invite, so they are
-        computed once per participation set (``reached``).
+        Classes (``permutation_classes``) read only who takes part and what
+        they invite, so each set's are computed once, from the reports of
+        its first situation.
         """
         index = {v: k for k, v in enumerate(self.graph.voters)}
-        by_set: dict[int, tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
-        out = []
-        for key, reached in zip(self.keys, self.reached):
-            classes = by_set.get(reached)
-            if classes is None:
-                reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
-                classes = by_set[reached] = tuple(
-                    (cls.key, tuple(sorted(index[v] for v in cls.members)))
-                    for cls in permutation_classes(self.graph, reports, variant)
-                    if len(cls.members) >= 2
-                )
-            out.append(classes)
+        out = {}
+        for reached, sid in self.set_starts().items():
+            reports = {v: row[r] for (v, row), r in zip(self.reports.items(), self.digits[sid]) if r >= 0}
+            out[reached] = tuple(
+                (cls.key, tuple(sorted(index[v] for v in cls.members)))
+                for cls in permutation_classes(self.graph, reports, variant)
+                if len(cls.members) >= 2
+            )
         return out
+
+    @_memoized
+    def set_starts(self) -> dict[int, int]:
+        """Per participation set, its first situation: where every participant reports peak 0.
+
+        Ids follow first positions and a peak is the high part of a digit.
+        """
+        return {self.reached[sid]: sid for sid in _first_indices(self.reached)}
+
+    @_memoized
+    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
+        """Per situation, the ``set_classes`` of its participation set, which every situation of the set shares."""
+        return list(map(self.set_classes(variant).__getitem__, self.reached))
 
     def permutations(
         self, sid: int, variant: AnonymityVariant
@@ -445,23 +478,20 @@ class SituationSpace:
         not constant. Each comes from one multiset of the class's template,
         at one position where every member reports peak 0.
         """
-        sids, found, seen = self.profile_sids, [], set()
-        for sid, (reached, classes) in enumerate(zip(self.reached, self.classes(variant))):
-            if classes and reached not in seen:
-                # ids follow first positions and a peak is the high part of a
-                # digit, so this is the set's situation where every participant
-                # reports peak 0; each other participant's peak steps by its unit
-                seen.add(reached)
-                for c, (_, members) in enumerate(classes):
-                    bases = [self.starts[sid]]
-                    for k, unit in enumerate(self.units):
-                        if reached >> k & 1 and k not in members:
-                            bases = [base + p * unit for base in bases for p in range(self.points)]
-                    groups = self._template(members)
-                    for base in bases:
-                        for offsets in groups:
-                            orbit = tuple([sids[base + offset] for offset in offsets])
-                            found.append((orbit[0], c, orbit))
+        sids, starts, found = self.profile_sids, self.set_starts(), []
+        for reached, classes in self.set_classes(variant).items():
+            # each other participant's peak steps by its unit from the set's
+            # first situation, where every participant reports peak 0
+            for c, (_, members) in enumerate(classes):
+                bases = [self.starts[starts[reached]]]
+                for k, unit in enumerate(self.units):
+                    if reached >> k & 1 and k not in members:
+                        bases = [base + p * unit for base in bases for p in range(self.points)]
+                groups = self._template(members)
+                for base in bases:
+                    for offsets in groups:
+                        orbit = tuple([sids[base + offset] for offset in offsets])
+                        found.append((orbit[0], c, orbit))
         found.sort()
         return [orbit for *_, orbit in found]
 
@@ -535,14 +565,13 @@ class SituationSpace:
 
     @_memoized
     def deviation_vars(self, voter: VoterId) -> tuple[tuple[int, ...], ...]:
-        """The voter's deviation groups as the variables of its reports, skipping repeats.
+        """The voter's distinct deviation groups (``deviation_block``) as the variables of its reports.
 
         Contexts that differ only in non-participants give the same group,
         which is kept once, at its first context.
         """
-        var, _ = self.variables()
-        groups = dict.fromkeys([tuple(sids) for _, sids in self.deviation_groups(voter)])
-        return tuple([tuple([var[sid] for sid in sids]) for sids in groups])
+        var = self.variables()[0]
+        return tuple([tuple([var[sid] for sid in group]) for group in self.deviation_block(voter)[0]])
 
     @_memoized
     def sp_rows(self, mode: str) -> tuple[tuple[int, int, tuple[int, ...]], ...]:

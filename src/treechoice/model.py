@@ -531,6 +531,46 @@ class _SortedValues(ValuesView):
         return iter(self._mapping._values)
 
 
+PROPERTY_TOKENS = ("SP", "SP-D", "PE", "AN", "AN-S", "AN-D", "AN-SD", "ONTO", "DEPTH1-HULL")
+CHECK_ONLY = ("ONTO", "DEPTH1-HULL")  # checkable properties the complete search cannot encode
+
+_VR_RE = re.compile(r"VR-([0-9]+)")
+
+
+class PropertyTokenError(ConfigurationError, ValueError):
+    """A property token outside the grammar of ``parse_property``."""
+
+
+def parse_property(raw: str) -> str:
+    """Canonical spelling of one property token.
+
+    Surrounding whitespace and letter case are ignored, and ``VR-<d>`` takes
+    ASCII digits only, so ``" vr-01"`` reads as ``VR-1``. The tokens are
+    ``PROPERTY_TOKENS`` and ``VR-<d>``; those in ``CHECK_ONLY`` have a
+    checker but no search encoding.
+    """
+    token = raw.strip()
+    if token.isascii():
+        token = token.upper()
+        if token in PROPERTY_TOKENS:
+            return token
+        vr = _VR_RE.fullmatch(token)
+        if vr is not None:
+            return f"VR-{int(vr.group(1))}"
+    raise PropertyTokenError(
+        f"unknown property {raw!r}; supported: {', '.join(PROPERTY_TOKENS)}, VR-<d>"
+    )
+
+
+def _first_indices(items: Sequence) -> list[int]:
+    """The index of each distinct item's first occurrence, ascending.
+
+    A dict over the reversed items keeps each at its first index, with no
+    Python-level loop per item.
+    """
+    return sorted(dict(zip(reversed(items), range(len(items) - 1, -1, -1))).values())
+
+
 def _lru(cache: OrderedDict, key, size: int, build):
     """``cache[key]``, built by ``build()`` if missing; ``cache`` keeps the ``size`` keys used last."""
     out = cache.pop(key, None)

@@ -29,6 +29,9 @@ what it reads:
   rule, the index of the voter's truthful report, which fixes its true peak
   and no other, and the block of reports the mode tries;
 - ``vr``, for VR-d: per voter in scope, so every level shares the unit;
+- both scan ``rows``, the voter's distinct outcome rows, each kept at its
+  first context: a context's verdict reads only its row, so the first
+  context that rejects is the first context of the first row that does;
 - ``an``, for AN, AN-S, AN-D and AN-SD: the variant;
 - ``pe``, for PE: the true peaks' grid indices, to find the first truthful
   profile in a situation of ``outside(False)``, the situations outside
@@ -46,11 +49,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .enumeration import (
     AnonymityVariant,
@@ -61,13 +64,18 @@ from .enumeration import (
     deviation_space_size,
     situation_space,
 )
-from .model import (
+from .model import (  # the property grammar is defined there and re-exported here
+    CHECK_ONLY,
+    PROPERTY_TOKENS,
     ConfigurationError,
     Instance,
     PreferenceModel,
+    PropertyTokenError,
     VoterId,
+    _first_indices,
     compare,
     format_rational,
+    parse_property,
     preference_masks,
 )
 from .scf import (
@@ -82,37 +90,7 @@ from .scf import (
 EXACT_ON_GRID = "ExactOnGrid"
 PASS_IS_GRID_RELATIVE = "PassIsGridRelative"
 
-PROPERTY_TOKENS = ("SP", "SP-D", "PE", "AN", "AN-S", "AN-D", "AN-SD", "ONTO", "DEPTH1-HULL")
-CHECK_ONLY = ("ONTO", "DEPTH1-HULL")  # checkable properties the complete search cannot encode
-
 TABLES_PER_SPACE = 4  # rule tables kept per shape
-
-_VR_RE = re.compile(r"VR-([0-9]+)")
-
-
-class PropertyTokenError(ConfigurationError, ValueError):
-    """A property token outside the grammar of ``parse_property``."""
-
-
-def parse_property(raw: str) -> str:
-    """Canonical spelling of one property token.
-
-    Surrounding whitespace and letter case are ignored, and ``VR-<d>`` takes
-    ASCII digits only, so ``" vr-01"`` reads as ``VR-1``. The tokens are
-    ``PROPERTY_TOKENS`` and ``VR-<d>``; those in ``CHECK_ONLY`` have a
-    checker but no search encoding.
-    """
-    token = raw.strip()
-    if token.isascii():
-        token = token.upper()
-        if token in PROPERTY_TOKENS:
-            return token
-        vr = _VR_RE.fullmatch(token)
-        if vr is not None:
-            return f"VR-{int(vr.group(1))}"
-    raise PropertyTokenError(
-        f"unknown property {raw!r}; supported: {', '.join(PROPERTY_TOKENS)}, VR-<d>"
-    )
 
 
 @dataclass
@@ -162,28 +140,42 @@ class RuleTable:
         """``values`` spelled by ``format_rational``, for the outcomes a witness cites."""
         return [format_rational(q) for q in self.values]
 
+    @_memoized
+    def rows(self, voter: VoterId) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
+        """The voter's distinct outcome rows, each at its first context, and the count of contexts.
+
+        A row is the outcome index of each of the voter's reports under one
+        of its deviation groups (``space.deviation_block``). Each distinct
+        row comes once, as (row, ordinal, position) of its first group,
+        which is its first context, in order.
+        """
+        groups, ordinals, positions, contexts = self.space.deviation_block(voter)
+        rows = list(map(tuple, map(map, itertools.repeat(self.outcomes.__getitem__), groups)))
+        return [(rows[i], ordinals[i], positions[i]) for i in _first_indices(rows)], contexts
+
     def _first_rejected(
         self, voter: VoterId, base: int, tried: Sequence[int], accepts: Sequence[int]
     ) -> tuple[int, int, int, int, int]:
         """The voter's first report whose outcome report ``base``'s rejects, for SP and VR.
 
-        In each of the voter's deviation groups, in order, the reports ``tried``
-        are compared with report ``base``: outcome ``y`` is accepted against
-        ``x`` when bit ``y`` of ``accepts[x]`` is set. Returns (reports tried up
-        to and including the first rejected one, its group's position, its
-        report index, ``x``, ``y``), or (every report tried, -1, -1, -1, -1).
+        In each of the voter's contexts, in order, the reports ``tried`` are
+        compared with report ``base``: outcome ``y`` is accepted against ``x``
+        when bit ``y`` of ``accepts[x]`` is set. A context's verdict reads only
+        its outcome row, so the first context that rejects is the first
+        context of the first distinct row (``rows``) that rejects, and only
+        the distinct rows are scanned. Returns (reports tried up to and
+        including the first rejected one, its context's position, its report
+        index, ``x``, ``y``), or (every report tried, -1, -1, -1, -1).
         """
-        outcomes = self.outcomes
-        examined = 0
-        for position, group in self.space.deviation_groups(voter):
-            x = outcomes[group[base]]
+        rows, contexts = self.rows(voter)
+        for row, ordinal, position in rows:
+            x = row[base]
             allowed = accepts[x]
             for k, r in enumerate(tried):
-                y = outcomes[group[r]]
+                y = row[r]
                 if not allowed >> y & 1:
-                    return examined + k + 1, position, r, x, y
-            examined += len(tried)
-        return examined, -1, -1, -1, -1
+                    return ordinal * len(tried) + k + 1, position, r, x, y
+        return contexts * len(tried), -1, -1, -1, -1
 
     @_memoized
     def sp(
@@ -276,7 +268,7 @@ class RuleTable:
         for orbit in space.orbits(variant):
             sid = orbit[0]
             base = outcomes[sid]
-            if any(outcomes[other] != base for other in orbit):
+            if itemgetter(*orbit)(outcomes).count(base) != len(orbit):
                 for k, (_, _, _, other) in enumerate(space.permutations(sid, variant)):
                     if outcomes[other] != base:
                         return space.starts[sid], sid, k
@@ -360,9 +352,12 @@ def _evaluate(scf: SocialChoiceFunction, view: PeakBlindInstance, space: Situati
                     f"{space.profile_json(space.starts[sid])} and {space.profile_json(position)} "
                     f"share one situation but give {format_rational(outs[sid])} and {format_rational(out)}"
                 )
+    # by object first, so each distinct object is hashed once: a rule that
+    # returns one object everywhere costs one Fraction hash, not one per situation
+    objects = dict(zip(map(id, outs), outs))
     index: dict[Fraction, int] = {}
-    at = [index.setdefault(out, len(index)) for out in outs]
-    return list(index), at
+    at = {i: index.setdefault(out, len(index)) for i, out in objects.items()}
+    return list(index), list(map(at.__getitem__, map(id, outs)))
 
 
 def _medians(scf: WeightedMedianRule, view: PeakBlindInstance, space: SituationSpace):

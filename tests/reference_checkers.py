@@ -11,8 +11,13 @@ profile. ``find_dominating_point`` is the definitional efficiency oracle
 the hull tests compare with.
 ``situation_numbering`` is the same kind of oracle for the situation
 space's constructor, ``tabulate`` for ``properties.rule_table``,
-``set_built_equalities`` for ``SituationSpace.equalities``, and
-``walked_orbits`` for ``SituationSpace.orbits``.
+``set_built_equalities`` for ``SituationSpace.equalities``,
+``walked_orbits`` for ``SituationSpace.orbits``, and
+``situation_classes`` for ``SituationSpace.classes``.
+``deviation_groups`` walks a voter's contexts one at a time, as the space
+did before it kept each distinct group once, and ``first_rejected`` scans
+them, as ``RuleTable``'s SP and VR units did before they scanned distinct
+outcome rows.
 """
 
 from __future__ import annotations
@@ -109,6 +114,63 @@ def situation_numbering(instance: Instance) -> tuple[tuple[SituationKey, ...], l
         for profile in enumerate_profiles(instance, budget=None)
     ]
     return tuple(index), sids
+
+
+def deviation_groups(space, voter: VoterId) -> Iterator[tuple[int, list[int]]]:
+    """Per context of ``voter``, in order: its position and the situation of each of the voter's reports.
+
+    The body is the space's per-context walk, unchanged: a context is a
+    joint report of the others under which the voter takes part, and its
+    position is that of its profile where the voter reports its first
+    report.
+    """
+    k = space.graph.voters.index(voter)
+    stride = space.strides[k]
+    block = stride * len(space.reports[voter])
+    sids, digits = space.profile_sids, space.digits
+    for start in range(0, len(sids), block):
+        for pos in range(start, start + stride):
+            if digits[sids[pos]][k] >= 0:
+                yield pos, sids[pos : pos + block : stride]
+
+
+def first_rejected(table, voter: VoterId, base: int, tried, accepts) -> tuple[int, int, int, int, int]:
+    """``RuleTable._first_rejected`` as it scanned every context, one at a time; the body is unchanged."""
+    outcomes = table.outcomes
+    examined = 0
+    for position, group in deviation_groups(table.space, voter):
+        x = outcomes[group[base]]
+        allowed = accepts[x]
+        for k, r in enumerate(tried):
+            y = outcomes[group[r]]
+            if not allowed >> y & 1:
+                return examined + k + 1, position, r, x, y
+        examined += len(tried)
+    return examined, -1, -1, -1, -1
+
+
+def situation_classes(space, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
+    """``SituationSpace.classes`` as it was built before the per-set layout: one pass over every situation.
+
+    Each participation set's classes are computed from its first key and
+    shared by the set's later situations; the body is the space method's,
+    unchanged.
+    """
+    self = space
+    index = {v: k for k, v in enumerate(self.graph.voters)}
+    by_set: dict[int, tuple[tuple[tuple, tuple[int, ...]], ...]] = {}
+    out = []
+    for key, reached in zip(self.keys, self.reached):
+        classes = by_set.get(reached)
+        if classes is None:
+            reports = {v: ReportedType(p, frozenset(inv)) for v, p, inv in key}
+            classes = by_set[reached] = tuple(
+                (cls.key, tuple(sorted(index[v] for v in cls.members)))
+                for cls in permutation_classes(self.graph, reports, variant)
+                if len(cls.members) >= 2
+            )
+        out.append(classes)
+    return out
 
 
 def set_built_equalities(space, variant: AnonymityVariant) -> tuple[tuple[int, int], ...]:

@@ -179,6 +179,41 @@ def test_usage_and_validation_exit_one(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+def test_negative_limits_are_usage_errors(tmp_path, capsys):
+    # a negative time limit or budget is refused by the parser, at exit 1,
+    # before any check or search runs; 0 stays legal
+    good = tmp_path / "fig2.json"
+    main(["gen", "--shape", "fig2", "--out", str(good)])
+    check = ["check", "--scf", "direct-median", "--instance", str(good), "--property", "PE"]
+    search = ["search-csp", "--instance", str(good), "--properties", "SP,PE"]
+    matrix = ["matrix", "--instance", str(good)]
+    for argv in (
+        [*check, "--budget", "-5"],
+        [*search, "--timeout", "-1"],
+        [*search, "--timeout", "nan"],
+        [*search, "--variable-budget", "-1"],
+        [*matrix, "--timeout", "-1"],
+        [*matrix, "--timeout", "-0.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: argument {argv[-2]}: must be a non-negative" in err, argv
+    with pytest.raises(SystemExit) as exc:  # not a number at all: argparse's own message
+        main([*check, "--budget", "x"])
+    assert exc.value.code == 1
+    assert "error: argument --budget: invalid int value: 'x'" in capsys.readouterr().err
+    # zero is a limit, not a usage error: no profile fits a budget of 0, no
+    # variable a variable budget of 0, and a search with no time left gives up
+    assert main([*check, "--budget", "0"]) == 3
+    assert "exceeds budget 0" in capsys.readouterr().err
+    assert main([*search, "--variable-budget", "0"]) == 3
+    assert "exceeds budget 0" in capsys.readouterr().err
+    assert main([*search, "--timeout", "0"]) == 3
+    capsys.readouterr()
+
+
 def test_instance_file_errors_are_path_qualified(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({

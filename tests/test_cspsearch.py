@@ -58,7 +58,7 @@ from treechoice.fileio import (
     uniform_grid,
 )
 from conftest import instances_for, make_deep_demo, space_never_built, tree_shapes
-from reference_checkers import set_built_equalities, walked_orbits
+from reference_checkers import deviation_groups, set_built_equalities, situation_classes, walked_orbits
 import reference_solver
 
 F = Fraction
@@ -468,7 +468,7 @@ def _dict_built_sp_triples(space: enumeration.SituationSpace, mode: str) -> list
     for k, voter in enumerate(space.graph.voters):
         n = space.invitations[k]
         seen: set[tuple[int, ...]] = set()
-        for _, group in space.deviation_groups(voter):
+        for _, group in deviation_groups(space, voter):
             if tuple(group) in seen:
                 continue
             seen.add(tuple(group))
@@ -865,6 +865,15 @@ def test_equalities_match_the_set_based_builder():
                 for sid in orbit:
                     orbits_of[var[sid]].add(i)
             assert all(orbits_of[a] & orbits_of[b] for a, b in pairs)
+
+
+def test_classes_match_the_per_situation_builder():
+    # classes are laid out once per participation set, from the report
+    # digits of its first situation, and handed to each situation by one map
+    for inst in _anonymity_instances():
+        space = enumeration.SituationSpace(inst)
+        for variant in AnonymityVariant:
+            assert space.classes(variant) == situation_classes(space, variant), (inst.graph, variant)
 
 
 def test_orbits_match_the_situation_walk():

@@ -6,7 +6,9 @@ import copy
 import dataclasses
 import functools
 import gc
+import itertools
 import json
+import random
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
@@ -46,6 +48,7 @@ from treechoice import (
     tabulate_scf,
 )
 from treechoice.enumeration import SPACE_CACHE_SIZE, SituationSpace, situation_space
+from treechoice.model import preference_masks
 from treechoice.fileio import make_chain, make_fig2, uniform_grid
 from conftest import graph_from_parents, instances_for, make_deep_demo, space_never_built, tree_shapes
 
@@ -202,6 +205,41 @@ def test_table_checkers_match_reference_loops():
     assert mismatches == []
 
 
+def test_row_scans_match_the_per_context_scans():
+    # SP and VR scan each voter's distinct outcome rows, each at its first
+    # context; the oracle scans every context. Every voter, truthful report,
+    # SP block, preference model and ambiguity setting, on every shape of up
+    # to 4 voters on 3 points and fig2; a seeded random table makes SP and VR
+    # fail at contexts past the first, where rows repeat before they reject
+    rng = random.Random(25)
+    shapes = [Instance(graph, {v: GRID3[-1] for v in graph.voters}, GRID3) for graph in tree_shapes(4, 4)]
+    fixed = [FixedOutcome(F(1, 2)), DirectChildrenMedian(), DepthWeightedMedian(), ParticipantMedian()]
+    units, seen = 0, set()  # per unit kind: (rejected, past the first context)
+    for inst in shapes + [make_fig2()]:
+        keys = SituationSpace(inst).keys
+        rules = fixed + [TabulatedScf({key: rng.choice(inst.grid) for key in keys})]
+        for model, rule in itertools.product(PreferenceModel, rules):
+            space, table = properties.rule_table(rule, dataclasses.replace(inst, preference_model=model))
+            values = table.values
+            for k, voter in enumerate(inst.graph.voters):
+                sizes = len(space.reports[voter])
+                vr = reference.first_rejected(table, voter, 0, range(sizes), [1 << x for x in range(len(values))])
+                assert table.vr(voter) == vr, (inst.graph, rule.name, voter)
+                seen.add(("VR", vr[1] >= 0, vr[0] > sizes))
+                n = space.invitations[k]
+                for flag, truth_at, block in itertools.product((True, False), range(n - 1, sizes, n), (n, sizes)):
+                    forward, _ = preference_masks(values, model, flag)
+                    start = truth_at - truth_at % block
+                    tried = [r for r in range(start, start + block) if r != truth_at]
+                    accepts = forward[values.index(space.reports[voter][truth_at].peak)]
+                    sp = reference.first_rejected(table, voter, truth_at, tried, accepts)
+                    assert table.sp(model, flag, voter, truth_at, block) == sp, (inst.graph, rule.name, voter)
+                    seen.add(("SP", sp[1] >= 0, sp[0] > len(tried)))
+                    units += 1
+    assert units == 7_320
+    assert seen == set(itertools.product(("SP", "VR"), (False, True), (False, True)))
+
+
 def test_profile_json_spells_what_profile_to_json_spells():
     # every position of every shape of up to 4 voters on 3 points, and fig2,
     # against the profile there in ``enumerate_profiles``, compared as JSON
@@ -268,11 +306,12 @@ def test_hull_checks_match_the_reference_on_every_peak_assignment():
 
 def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
     # SP reads only the manipulator's true peak, VR and AN no true peak at all,
-    # so sweeping every peak assignment of one shape scans each table at most
-    # once per voter and grid point for SP, once per voter for VR, and reads
-    # the orbits once per variant for AN; PE and DEPTH1-HULL build their
-    # out-of-hull index once per table, and the one space walked for the
-    # shape holds the hull arrays they read
+    # so sweeping every peak assignment of one shape walks each voter's
+    # contexts once for the shape and builds each table's outcome rows once
+    # per voter, for both SP modes and every VR level, and reads the orbits
+    # once per variant for AN; PE and DEPTH1-HULL build their out-of-hull
+    # index once per table, and the one space walked for the shape holds the
+    # hull arrays they read
     graph = InvitationGraph(frozenset(["a", "b"]), {"a": frozenset(["c"])})
     instances = instances_for(graph, GRID3)
     rules = [parse_scf(name) for name in RULES]  # one table each, none evicted
@@ -290,7 +329,7 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
         for rule in rules
     }
     monkeypatch.setattr(enumeration, "_SPACES", OrderedDict())
-    reads = dict.fromkeys(["deviation_groups", "orbits", "outside", "SituationSpace"], 0)
+    reads = dict.fromkeys(["deviation_block", "rows", "orbits", "outside", "SituationSpace"], 0)
 
     def counting(name, call):
         @functools.wraps(call)
@@ -300,11 +339,15 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
 
         return counted
 
-    for method in ("deviation_groups", "orbits"):
-        monkeypatch.setattr(SituationSpace, method, counting(method, getattr(SituationSpace, method)))
-    # count the builds of the memoized ``RuleTable.outside``, not its reads
-    build = properties.RuleTable.outside.__wrapped__
-    monkeypatch.setattr(properties.RuleTable, "outside", enumeration._memoized(counting("outside", build)))
+    monkeypatch.setattr(SituationSpace, "orbits", counting("orbits", SituationSpace.orbits))
+    # count the builds of the memoized blocks and units, not their reads
+    for cls, method in (
+        (SituationSpace, "deviation_block"),
+        (properties.RuleTable, "rows"),
+        (properties.RuleTable, "outside"),
+    ):
+        build = getattr(cls, method).__wrapped__
+        monkeypatch.setattr(cls, method, enumeration._memoized(counting(method, build)))
     monkeypatch.setattr(enumeration, "SituationSpace", counting("SituationSpace", SituationSpace))
     counts = {}
     for name, run in sweeps.items():
@@ -314,12 +357,13 @@ def test_peak_assignments_of_one_shape_share_their_scans(monkeypatch):
                 got = [report.to_json() for report in run(properties, rule, inst)]
                 assert got == expected[(name, k, rule.name)], (name, inst.true_peaks, rule.name)
         counts[name] = {method: reads[method] - before[method] for method in reads}
-    voters, points, tables = len(graph.voters), len(GRID3), len(rules)
+    voters, tables = len(graph.voters), len(rules)
     assert len(instances) == 27
-    assert 0 < counts["SP"]["deviation_groups"] <= 2 * voters * points * tables  # two SP modes
-    assert 0 < counts["VR"]["deviation_groups"] <= voters * tables
-    assert counts["SP"]["SituationSpace"] == 1  # the first sweep walks the space, hulls and all
     unread = dict.fromkeys(reads, 0)
+    # the first sweep walks the space, hulls and all, and each voter's
+    # contexts, and builds each table's rows per voter, which VR reads again
+    assert counts["SP"] == {**unread, "deviation_block": voters, "rows": voters * tables, "SituationSpace": 1}
+    assert counts["VR"] == unread
     assert counts["AN"] == {**unread, "orbits": len(AnonymityVariant) * tables}
     assert counts["PE"] == counts["DEPTH1-HULL"] == {**unread, "outside": tables}
 
