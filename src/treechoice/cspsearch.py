@@ -16,16 +16,18 @@ timeout is reported as inconclusive, never as Unsat.
 integers: a domain is a bitmask over grid indices, and the SP constraints
 come as rows, one per deviation group and true peak, that name the peak by
 grid index. ``solve`` maps each group through the anonymity merge once and
-folds the rows into stars, one per merged truthful variable and peak, that
-hold its merged deviations; no triple is spelled out between ``encode`` and
-arc consistency. It works on the same integers and reads preferences from
-one table filled by the exact ``compare``, so Fractions appear only at the
-boundary: in situation keys and in Sat models. Its kernel reads tables and
-revises incrementally: an arc revision of a star reads its members, one
-lookup each in a memo of supported values filled from that table, only on
-its first revision and after its truthful variable's domain has changed,
-and the smallest-domain variable is the top of a lazy heap rather than the
-result of a scan.
+builds the stars one head at a time, one per merged truthful variable and
+peak, that hold its merged deviations; no triple is spelled out between
+``encode`` and arc consistency, and the merge's maps are released before it.
+The relevance groups are not rebuilt: they are read through the merge's
+representatives at the leaves. It works on the same integers and reads
+preferences from one table filled by the exact ``compare``, so Fractions
+appear only at the boundary: in situation keys and in Sat models. Its
+kernel reads tables and revises incrementally: an arc revision of a star
+reads its members, one lookup each in a memo of supported values filled
+from that table, only on its first revision and after its truthful
+variable's domain has changed, and the smallest-domain variable is the top
+of a lazy heap rather than the result of a scan.
 """
 
 from __future__ import annotations
@@ -273,6 +275,47 @@ class _Supports(dict):
         return keep
 
 
+def _stars(sp_rows: Iterable[tuple], rep_of: list[int], points: int, check=None) -> list[tuple]:
+    """The merged SP constraints as stars ``(t, p, ds)``, ascending by ``(t, p)``.
+
+    A star is every merged ``(t, d, p)`` of one merged ``t`` and peak index
+    ``p``; ``ds`` excludes ``t`` and an empty star is left out. Each
+    distinct deviation group is mapped to its merged set once, however many
+    rows share it, and a head ``t * points + p``, which sorts as ``(t, p)``
+    does, records only its rows' groups. The stars are then built one head
+    at a time: the first group's set copied, the rest OR-ed in row by row,
+    ``t`` discarded. Those are the same set operations in the same order
+    as when every head kept its own set, so a star's members iterate in the
+    same order, which fixes arc consistency's queue order. ``check({})`` is
+    called per new group and per head, to see a deadline.
+    """
+    mapped: dict[tuple[int, ...], set[int]] = {}
+    heads: dict[int, tuple[int, ...]] = {}  # a head's first group
+    more: dict[int, list] = {}  # the groups of its later rows, if any
+    for t, p, ds in sp_rows:
+        if ds not in mapped:
+            if check:
+                check({})
+            mapped[ds] = {rep_of[d] for d in ds}
+        head = rep_of[t] * points + p
+        if head in heads:
+            more.setdefault(head, []).append(ds)
+        else:
+            heads[head] = ds
+    stars = []
+    for head in sorted(heads):
+        if check:
+            check({})
+        t, p = divmod(head, points)
+        members = set(mapped[heads[head]])
+        for ds in more.get(head, ()):
+            members |= mapped[ds]
+        members.discard(t)
+        if members:
+            stars.append((t, p, tuple(members)))
+    return stars
+
+
 def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = None) -> CspResult:
     """Complete backtracking over the merged situation variables.
 
@@ -281,18 +324,25 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     The rows are then folded into stars ``(t, p, ds)``, ascending by
     ``(t, p)``: one per merged truthful variable ``t`` and peak index ``p``,
     whose ``ds`` are the merged deviation variables other than ``t``, each
-    once. Arc consistency revises a star whole, ``t`` against every ``d`` and
-    every ``d`` against ``t``, from the domains as they were before the
-    revision (the prunes are counted ``t`` first, then the ``ds`` in order),
-    and forward checking walks a star from whichever side was assigned;
-    ``stats["sp_constraints"]`` counts the merged triples, the stars' sizes
-    summed. Unary hulls are already in the domains, and the
-    relevance disjunctions are checked lazily on complete assignments.
+    once. ``_stars`` builds them one head at a time from the groups each
+    head recorded, so one head's set is alive at a time, and its maps are
+    gone before arc consistency. Arc consistency revises a star whole, ``t``
+    against every ``d`` and every ``d`` against ``t``, from the domains as
+    they were before the revision (the prunes are counted ``t`` first, then
+    the ``ds`` in order), and forward checking walks a star from whichever
+    side was assigned; ``stats["sp_constraints"]`` counts the merged
+    triples, the stars' sizes summed. Unary hulls are already in the
+    domains. A relevance disjunction none of whose groups spans two merged
+    classes refutes at once (``relevance-collapsed``, naming the last such
+    voter); otherwise the disjunctions are checked lazily on complete
+    assignments, reading each group's values through its variables'
+    representatives.
     The next variable has the smallest domain, ties to the earliest in a
     fixed tie-break order; value order is ascending grid. ``order_seed``
     shuffles the tie-break and value orders (the verdict must not depend on
-    it); ``timeout_s`` bounds merging, arc consistency and search alike, and
-    aborts with InconclusiveError. Without it the clock is read only to time
+    it); ``timeout_s`` bounds merging (checked per link, per new deviation
+    group and per star head), arc consistency and search alike, and aborts
+    with InconclusiveError. Without it the clock is read only to time
     the phases.
 
     Inside, a value is its index on the grid and a domain is a bitmask of
@@ -362,44 +412,13 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     for r, mask in zip(rep_of, csp.domains):
         dom[r] &= mask
 
-    # the merged SP constraints as stars (t, p, ds), ascending by (t, p): a
-    # star is every merged (t, d, p) of one merged t and peak p. Each
-    # distinct deviation group is mapped once, however many rows share it,
-    # and a star's head t * points + p sorts as (t, p) does
-    mapped: dict[tuple[int, ...], set[int]] = {}
-    heads: dict[int, set[int]] = {}
-    for t, p, ds in csp.sp_rows:
-        group = mapped.get(ds)
-        if group is None:
-            if timed:
-                check_deadline({})
-            group = mapped[ds] = {rep_of[d] for d in ds}
-        head = rep_of[t] * points + p
-        members = heads.get(head)
-        if members is None:
-            heads[head] = set(group)
-        else:
-            members |= group
-    stars = []
-    for head in sorted(heads):
-        t, p = divmod(head, points)
-        members = heads[head]
-        members.discard(t)
-        if members:
-            stars.append((t, p, tuple(members)))
-    vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
+    stars = _stars(csp.sp_rows, rep_of, points, check_deadline if timed else None)
+    # a voter's relevance is collapsed when no group of it spans two classes;
+    # the groups themselves are read through rep_of at the leaves
     vr_collapsed: VoterId | None = None
     for c in csp.vr_constraints:
-        groups: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for g in c.groups:
-            rg = tuple(sorted({rep_of[v] for v in g}))
-            if len(rg) >= 2 and rg not in seen:
-                seen.add(rg)
-                groups.append(rg)
-        if not groups:
+        if not any(rep_of[v] != rep_of[g[0]] for g in c.groups for v in g):
             vr_collapsed = c.voter
-        vr.append((c.voter, tuple(groups)))
 
     forward, backward = preference_masks(grid, csp.instance.preference_model, True)
     support_fwd = [_Supports(row) for row in forward]
@@ -416,7 +435,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         "merged_variables": len(reps),
         "sp_constraints": sum(len(ds) for _, _, ds in stars),
         "anon_equalities": len(csp.equalities),
-        "vr_constraints": len(vr),
+        "vr_constraints": len(csp.vr_constraints),
         "ac3_prunes": 0,
         "order_seed": order_seed,
         "phase_s": phase_s,
@@ -524,10 +543,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
         return None
 
     def vr_satisfied() -> bool:
-        for _, groups in vr:
-            if not any(len({assignment[v] for v in g}) >= 2 for g in groups):
-                return False
-        return True
+        return all(
+            any(len({assignment[rep_of[v]] for v in g}) >= 2 for g in c.groups) for c in csp.vr_constraints
+        )
 
     def propagate(var: int, val: int) -> bool:
         for si in stars_by_var[var]:

@@ -5,7 +5,9 @@ solver that re-read every member of a star on each revision and guarded
 forward checking against assigned variables. The differential test in
 ``test_cspsearch.py`` asks the package's ``solve`` for the same document:
 verdict, model, node count, ``ac3_prunes`` (also where a wipe-out stops the
-count) and ``refuted_by``, under several search orders.
+count) and ``refuted_by``, under several search orders. Its merge into SP
+stars, where every star head kept its own set, is the helper
+``dict_of_sets_stars``, which the star-order test reads too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import heapq
 import random
 import time
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from treechoice.cspsearch import Csp, CspResult, InconclusiveError
 from treechoice.model import SituationKey, VoterId, preference_masks
@@ -45,6 +47,47 @@ class _Supports(dict):
     def __missing__(self, other: int) -> int:
         keep = self[other] = _supported(self.support, other)
         return keep
+
+
+def dict_of_sets_stars(
+    sp_rows: Iterable[tuple[int, int, tuple[int, ...]]],
+    rep_of: list[int],
+    points: int,
+    check: Callable[[dict], None] | None = None,
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The SP stars as the solver built them when every head kept its own set.
+
+    The loop is verbatim but for the deadline, which ``check({})`` sees per
+    new deviation group. ``test_cspsearch.py`` asks the package's ``_stars``
+    for the same stars, tuple for tuple: a star's member order is its set's
+    iteration order, which fixes arc consistency's queue order.
+    """
+    # the merged SP constraints as stars (t, p, ds), ascending by (t, p): a
+    # star is every merged (t, d, p) of one merged t and peak p. Each
+    # distinct deviation group is mapped once, however many rows share it,
+    # and a star's head t * points + p sorts as (t, p) does
+    mapped: dict[tuple[int, ...], set[int]] = {}
+    heads: dict[int, set[int]] = {}
+    for t, p, ds in sp_rows:
+        group = mapped.get(ds)
+        if group is None:
+            if check is not None:
+                check({})
+            group = mapped[ds] = {rep_of[d] for d in ds}
+        head = rep_of[t] * points + p
+        members = heads.get(head)
+        if members is None:
+            heads[head] = set(group)
+        else:
+            members |= group
+    stars = []
+    for head in sorted(heads):
+        t, p = divmod(head, points)
+        members = heads[head]
+        members.discard(t)
+        if members:
+            stars.append((t, p, tuple(members)))
+    return stars
 
 
 def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = None) -> CspResult:
@@ -118,31 +161,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     for r, mask in zip(rep_of, csp.domains):
         dom[r] &= mask
 
-    # the merged SP constraints as stars (t, p, ds), ascending by (t, p): a
-    # star is every merged (t, d, p) of one merged t and peak p. Each
-    # distinct deviation group is mapped once, however many rows share it,
-    # and a star's head t * points + p sorts as (t, p) does
-    mapped: dict[tuple[int, ...], set[int]] = {}
-    heads: dict[int, set[int]] = {}
-    for t, p, ds in csp.sp_rows:
-        group = mapped.get(ds)
-        if group is None:
-            if timed:
-                check_deadline({})
-            group = mapped[ds] = {rep_of[d] for d in ds}
-        head = rep_of[t] * points + p
-        members = heads.get(head)
-        if members is None:
-            heads[head] = set(group)
-        else:
-            members |= group
-    stars = []
-    for head in sorted(heads):
-        t, p = divmod(head, points)
-        members = heads[head]
-        members.discard(t)
-        if members:
-            stars.append((t, p, tuple(members)))
+    stars = dict_of_sets_stars(csp.sp_rows, rep_of, points, check_deadline if timed else None)
     vr: list[tuple[VoterId, tuple[tuple[int, ...], ...]]] = []
     vr_collapsed: VoterId | None = None
     for c in csp.vr_constraints:

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 from unittest import mock
@@ -42,6 +43,7 @@ from treechoice.cspsearch import (
     Csp,
     VrConstraint,
     _Supports,
+    _stars,
     collect_situations,
     model_to_json,
     normalize_properties,
@@ -234,6 +236,77 @@ def test_timeout_bounds_the_sp_merge(monkeypatch):
     assert exc.value.stats == {"nodes_explored": 0}  # no ac3_prunes: raised in the merge
 
 
+def test_timeout_bounds_building_the_stars(monkeypatch):
+    # the clock reads 0 at the start, at every link and at every new deviation
+    # group, and is past the deadline from the next read on: only a check
+    # while the stars are built, before arc consistency, raises with no stats
+    csp = encode(make_chain(3, 3), ["SP", "PE", "AN-S"])
+    assert csp.equalities and csp.sp_rows
+    reads = 1 + len(csp.equalities) + len({ds for _, _, ds in csp.sp_rows})
+    clock = itertools.count()
+    monkeypatch.setattr(cspsearch.time, "monotonic", lambda: 0.0 if next(clock) < reads else 10.0)
+    with pytest.raises(InconclusiveError) as exc:
+        solve(csp, timeout_s=1.0)
+    assert exc.value.stats == {"nodes_explored": 0}
+
+
+def _merged_reps(csp: Csp) -> list[int]:
+    """Each variable's class in the closure of ``csp.equalities``, named by its least member, as ``solve`` names it."""
+    rep = list(range(len(csp.keys)))
+
+    def find(v: int) -> int:
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    for a, b in csp.equalities:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            rep[max(ra, rb)] = min(ra, rb)
+    return [find(v) for v in range(len(csp.keys))]
+
+
+def _linking(groups) -> tuple[tuple[int, int], ...]:
+    """Equalities that put every member of each group in one class."""
+    return tuple(sorted({(g[0], v) for g in groups for v in g[1:]}))
+
+
+def test_relevance_collapsed_names_the_last_voter_left_without_a_spanning_group():
+    # on fig2 VR-2 constrains i, j, u and v; linking u's and v's groups merges
+    # no group of i or j whole
+    csp = encode(make_fig2(), ["VR-2"])
+    by_voter = {c.voter: c.groups for c in csp.vr_constraints}
+    assert list(by_voter) == ["i", "j", "u", "v"]
+    both = solve(dataclasses.replace(csp, equalities=_linking(by_voter["u"] + by_voter["v"])))
+    assert (both.verdict, both.nodes_explored) == ("unsat", 0)
+    assert both.stats["refuted_by"] == "relevance-collapsed:v"
+    # v keeps one group whose members stay in two classes, so only u is collapsed
+    for kept in by_voter["v"]:
+        links = _linking(by_voter["u"] + tuple(g for g in by_voter["v"] if g is not kept))
+        rep = _merged_reps(dataclasses.replace(csp, equalities=links))
+        if len({rep[x] for x in kept}) >= 2:
+            break
+    else:
+        pytest.fail("linking u's groups merges every group of v")
+    one = solve(dataclasses.replace(csp, equalities=links))
+    assert (one.verdict, one.nodes_explored) == ("unsat", 0)
+    assert one.stats["refuted_by"] == "relevance-collapsed:u"
+
+
+def test_solve_heap_is_bounded_on_fig2():
+    # solve keeps the stars and drops their scaffolding before arc
+    # consistency; the first solve fills the preference table it shares
+    csp = encode(make_fig2(), ["SP", "PE", "AN-SD", "VR-2"])
+    solve(csp)
+    tracemalloc.start()
+    try:
+        assert solve(csp).sat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3072 * 1024
+
+
 class _NonParticipantPeak(SocialChoiceFunction):
     """Reads j's report even when i does not invite j, so it sees more than a situation."""
 
@@ -397,6 +470,23 @@ def test_solve_matches_reference_kernel_on_every_small_shape():
         inst = instances_for(graph, GRID3)[0]
         for props in (("SP", "PE", "AN-SD", "VR-2"), ("SP-D", "PE", "AN-D", "VR-1")):
             _assert_matches_reference_kernel(encode(inst, props))
+
+
+def test_stars_keep_the_dict_of_sets_member_order():
+    # a star's members come in its set's iteration order, which fixes arc
+    # consistency's queue order and so ac3_prunes at a wipe-out; the document
+    # tests do not catch a change of that order (a copy that sorted every
+    # star's members passed them all), so the stars are compared directly
+    unsorted = 0
+    for inst in [instances_for(graph, GRID3)[0] for graph in tree_shapes(4, 4)] + [make_fig2()]:
+        points = len(inst.grid)
+        for sp, an in itertools.product(("SP", "SP-D"), (None, "AN", "AN-S", "AN-D", "AN-SD")):
+            csp = encode(inst, [sp] if an is None else [sp, an])
+            rep_of = _merged_reps(csp)
+            stars = _stars(csp.sp_rows, rep_of, points)
+            assert stars == reference_solver.dict_of_sets_stars(csp.sp_rows, rep_of, points), (inst.graph, sp, an)
+            unsorted += sum(list(ds) != sorted(ds) for _, _, ds in stars)
+    assert unsorted
 
 
 @pytest.mark.parametrize("points", [3, 4, 5, 6])
