@@ -12,15 +12,16 @@ import json
 import sys
 from pathlib import Path
 
-from .cspsearch import CspOptions, InconclusiveError, encode, solve
+from .cspsearch import CspOptions, encode, solve
 from .enumeration import DEFAULT_PROFILE_BUDGET
 from .fileio import dump_canonical, generate, instance_to_dict, load_instance, load_reports
 from .matrix import build_matrix
 from .model import (
+    PROPERTY_TOKENS,
     BudgetExceededError,
+    InconclusiveError,
     TreeChoiceError,
     format_rational,
-    participating_voters,
     reported_depths,
 )
 from .properties import run_check
@@ -74,7 +75,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "schema_version": 1,
             "scf": scf.name,
             "outcome": format_rational(outcome),
-            "participating": sorted(participating_voters(instance.graph, reports)),
+            "participating": sorted(depths),
             "depths": depths,
             "weights": weights,
         },
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="exhaustively check one property of one rule")
     p.add_argument("--scf", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--property", required=True, help="SP, SP-D, PE, ONTO, AN, AN-S, AN-D, AN-SD, VR-<d>, DEPTH1-HULL")
+    p.add_argument("--property", required=True, help=f"{', '.join(PROPERTY_TOKENS)}, VR-<d>")
     p.add_argument("--budget", type=_non_negative(int), default=DEFAULT_PROFILE_BUDGET)
     p.add_argument("--ambiguous-ok", action="store_true", help="do not count ambiguous comparisons as violations")
     p.add_argument("--out")

@@ -11,6 +11,11 @@ with arc consistency then decides satisfiability completely: a Sat verdict
 comes with a full table, an Unsat verdict means exhaustive refutation, and a
 timeout is reported as inconclusive, never as Unsat.
 
+This module holds only the encoder, the kernel and the replay. The property
+grammar (``normalize_properties``) and ``InconclusiveError`` live in
+``model``, and ``model_to_json`` in ``fileio``; they are imported here, so
+they can still be imported from this module.
+
 ``encode`` assembles the CSP from blocks of the shared ``SituationSpace``
 (the one the checkers scan), each built once per space and key, and emits
 integers: a domain is a bitmask over grid indices, and the SP constraints
@@ -19,15 +24,16 @@ grid index. ``solve`` maps each group through the anonymity merge once and
 builds the stars one head at a time, one per merged truthful variable and
 peak, that hold its merged deviations; no triple is spelled out between
 ``encode`` and arc consistency, and the merge's maps are released before it.
-The relevance groups are not rebuilt: they are read through the merge's
-representatives at the leaves. It works on the same integers and reads
-preferences from one table filled by the exact ``compare``, so Fractions
-appear only at the boundary: in situation keys and in Sat models. Its
-kernel reads tables and revises incrementally: an arc revision of a star
-reads its members, one lookup each in a memo of supported values filled
-from that table, only on its first revision and after its truthful
-variable's domain has changed, and the smallest-domain variable is the top
-of a lazy heap rather than the result of a scan.
+Each relevance group is mapped through the merge once, at the first complete
+assignment, and kept only if distinct and spanning two merged variables.
+``solve`` works on the same integers and reads preferences from one table
+filled by the exact ``compare``, so Fractions appear only at the boundary:
+in situation keys and in Sat models. Its kernel reads tables and revises
+incrementally: an arc revision of a star reads its members, one lookup each
+in a memo of supported values filled from that table, only on its first
+revision and after its truthful variable's domain has changed, and the
+smallest-domain variable is the top of a lazy heap rather than the result
+of a scan.
 """
 
 from __future__ import annotations
@@ -40,50 +46,23 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .enumeration import AnonymityVariant, SituationSpace, situation_space
+from .fileio import model_to_json
 from .model import (
     BudgetExceededError,
     ConfigurationError,
+    InconclusiveError,
     Instance,
     ReportedType,
     SituationKey,
     SortedTable,
-    TreeChoiceError,
     VoterId,
     format_rational,
+    normalize_properties,
     preference_masks,
     situation_key,
 )
-from .properties import CHECK_ONLY, PROPERTY_TOKENS, CheckReport, parse_property, rule_table, run_check
+from .properties import CheckReport, rule_table, run_check
 from .scf import SocialChoiceFunction
-
-_SEARCH_TOKENS = tuple(t for t in PROPERTY_TOKENS if t not in CHECK_ONLY)
-
-
-class InconclusiveError(TreeChoiceError):
-    """Search hit its time budget; carries statistics, never an Unsat claim."""
-
-    def __init__(self, stats: dict) -> None:
-        super().__init__(f"search inconclusive after {stats.get('nodes_explored', 0)} nodes")
-        self.stats = stats
-
-
-def normalize_properties(properties: Iterable[str]) -> tuple[str, ...]:
-    """Validate and canonically order property tokens the search can encode."""
-    seen: set[str] = set()
-    vr: set[int] = set()
-    for raw in properties:
-        token = parse_property(raw)
-        if token in CHECK_ONLY:
-            raise ConfigurationError(
-                f"property {raw!r} is check-only; search supports: {', '.join(_SEARCH_TOKENS)}, VR-<d>"
-            )
-        if token.startswith("VR-"):
-            vr.add(int(token[3:]))
-        else:
-            seen.add(token)
-    ordered = [t for t in _SEARCH_TOKENS if t in seen]
-    ordered.extend(f"VR-{d}" for d in sorted(vr))
-    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -182,21 +161,6 @@ class CspResult:
             "stats": {k: dict(v) if isinstance(v, dict) else v for k, v in self.stats.items()},
             "wall_time_s": self.wall_time_s,
         }
-
-
-def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
-    """A table as a list of ``{"situation": [...], "outcome": ...}`` entries, ascending by key.
-
-    A ``SortedTable`` is walked in its own order, with no sort and no key
-    hashed; any other mapping is sorted by key first.
-    """
-    return [
-        {
-            "situation": [{"voter": v, "peak": format_rational(p), "invited": list(inv)} for v, p, inv in key],
-            "outcome": format_rational(outcome),
-        }
-        for key, outcome in (model.items() if isinstance(model, SortedTable) else sorted(model.items()))
-    ]
 
 
 def _situation_space(instance: Instance, options: CspOptions) -> SituationSpace:
@@ -335,8 +299,9 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
     domains. A relevance disjunction none of whose groups spans two merged
     classes refutes at once (``relevance-collapsed``, naming the last such
     voter); otherwise the disjunctions are checked lazily on complete
-    assignments, reading each group's values through its variables'
-    representatives.
+    assignments. At the first, each group is mapped to its variables'
+    representatives, and only the distinct groups that span two of them are
+    kept, to be read at every later one.
     The next variable has the smallest domain, ties to the earliest in a
     fixed tie-break order; value order is ascending grid. ``order_seed``
     shuffles the tie-break and value orders (the verdict must not depend on
@@ -414,7 +379,7 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
 
     stars = _stars(csp.sp_rows, rep_of, points, check_deadline if timed else None)
     # a voter's relevance is collapsed when no group of it spans two classes;
-    # the groups themselves are read through rep_of at the leaves
+    # the groups themselves are mapped through rep_of at the first leaf
     vr_collapsed: VoterId | None = None
     for c in csp.vr_constraints:
         if not any(rep_of[v] != rep_of[g[0]] for g in c.groups for v in g):
@@ -542,10 +507,16 @@ def solve(csp: Csp, *, order_seed: int | None = None, timeout_s: float | None = 
             heapq.heappop(heap)
         return None
 
+    vr_groups = None  # per disjunction, its distinct groups as sets of two or more representatives
+
     def vr_satisfied() -> bool:
-        return all(
-            any(len({assignment[rep_of[v]] for v in g}) >= 2 for g in c.groups) for c in csp.vr_constraints
-        )
+        nonlocal vr_groups
+        if vr_groups is None:
+            vr_groups = [
+                [g for g in dict.fromkeys(frozenset([rep_of[v] for v in g]) for g in c.groups) if len(g) >= 2]
+                for c in csp.vr_constraints
+            ]
+        return all(any(len({assignment[r] for r in g}) >= 2 for g in groups) for groups in vr_groups)
 
     def propagate(var: int, val: int) -> bool:
         for si in stars_by_var[var]:

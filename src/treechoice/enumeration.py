@@ -153,7 +153,7 @@ class SituationSpace:
       invitations too, since a voter takes part exactly when its one parent
       does and invites it: situations with the same ``reached`` differ only
       in their participants' peaks. Rule tabulation computes a weighted
-      median's weights, and ``classes`` the anonymity classes, once per
+      median's weights, and ``set_classes`` the anonymity classes, once per
       such set.
     - ``deviation_block(voter)`` is one walk of the voter's contexts, the
       joint reports of the others under which it takes part, in
@@ -167,8 +167,8 @@ class SituationSpace:
     - ``set_classes(variant)`` maps each participation set to its anonymity
       classes of two or more voters, each as (class key, voter indices), in
       key order, computed once per set from the report digits of its first
-      situation (``set_starts``); ``classes(variant)`` hands them to each
-      situation.
+      situation (``set_starts``). A situation's classes are those of its
+      set, ``set_classes(variant)[reached[s]]``.
     - ``permutations(s, variant)`` yields the peak permutations within the
       classes of situation ``s`` in ``check_anonymity``'s order, each as
       (class key, member indices, permuted peak grid indices, permuted
@@ -427,11 +427,6 @@ class SituationSpace:
         """
         return {self.reached[sid]: sid for sid in _first_indices(self.reached)}
 
-    @_memoized
-    def classes(self, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
-        """Per situation, the ``set_classes`` of its participation set, which every situation of the set shares."""
-        return list(map(self.set_classes(variant).__getitem__, self.reached))
-
     def permutations(
         self, sid: int, variant: AnonymityVariant
     ) -> Iterator[tuple[tuple, tuple[int, ...], tuple[int, ...], int]]:
@@ -443,7 +438,7 @@ class SituationSpace:
         skipped. Each comes as (class key, member indices, permuted peak grid
         indices, permuted situation).
         """
-        for key, members in self.classes(variant)[sid]:
+        for key, members in self.set_classes(variant)[self.reached[sid]]:
             peaks = self.peaks(sid, members)
             for perm in itertools.permutations(peaks):
                 if perm != peaks:

@@ -2,6 +2,9 @@
 
 Rationals serialize as ``num/den`` strings, never floats, so files round-trip
 exactly: parse, serialize, parse is the identity on canonical documents.
+Every input file, instance, reports or gmvs parameters (``scf``), is read by
+``read_json``, and every document is written by ``dump_canonical``; a rule
+table is spelled for it by ``model_to_json``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from .model import (
     InvitationGraph,
     PreferenceModel,
     ReportedType,
+    SituationKey,
+    SortedTable,
     StructuralError,
     InstanceError,
     TreeChoiceError,
@@ -117,6 +122,21 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def model_to_json(model: Mapping[SituationKey, Fraction]) -> list[dict]:
+    """A table as a list of ``{"situation": [...], "outcome": ...}`` entries, ascending by key.
+
+    A ``SortedTable`` is walked in its own order, with no sort and no key
+    hashed; any other mapping is sorted by key first.
+    """
+    return [
+        {
+            "situation": [{"voter": v, "peak": format_rational(p), "invited": list(inv)} for v, p, inv in key],
+            "outcome": format_rational(outcome),
+        }
+        for key, outcome in (model.items() if isinstance(model, SortedTable) else sorted(model.items()))
+    ]
+
+
 _encode_str = json.encoder.encode_basestring_ascii  # the C function, as json's own encoder uses
 
 
@@ -177,17 +197,23 @@ def dump_canonical(data: dict) -> str:
     return "".join(out)
 
 
-def load_instance(path: str | Path) -> Instance:
-    path = Path(path)
+def read_json(path: Path):
+    """The JSON document in the file at ``path``.
+
+    InstanceFileError names the path when the file cannot be read, and the
+    path, line and column of a syntax error.
+    """
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise InstanceFileError(str(path), str(exc)) from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    return parse_instance(data, source=str(path))
+
+
+def load_instance(path: str | Path) -> Instance:
+    path = Path(path)
+    return parse_instance(read_json(path), source=str(path))
 
 
 def parse_reports(
@@ -216,13 +242,7 @@ def parse_reports(
 
 def load_reports(path: str | Path, instance: Instance) -> dict[VoterId, ReportedType]:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise InstanceFileError(str(path), str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceFileError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
-    return parse_reports(data, instance, source=str(path))
+    return parse_reports(read_json(path), instance, source=str(path))
 
 
 def _cycle_peaks(grid: tuple[Fraction, ...], count: int) -> list[Fraction]:

@@ -3,6 +3,12 @@
 The outcome space is the unit interval. Every peak, parameter, and outcome is
 a ``fractions.Fraction``, so all comparisons in the core are exact; no floats
 appear anywhere. All values are immutable after construction and safe to share.
+
+Participation and reported depth come from one walk (``_depths``). The
+package's errors, ``TreeChoiceError`` and its subclasses but for
+``fileio.InstanceFileError``, are defined here, and so is the property
+grammar: ``parse_property`` reads one token, and ``normalize_properties``
+the tokens a search can encode.
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ class BudgetExceededError(TreeChoiceError):
         super().__init__(f"projected {what} size {projected} exceeds budget {budget}")
         self.projected = projected
         self.budget = budget
+
+
+class InconclusiveError(TreeChoiceError):
+    """Search hit its time budget; carries statistics, never an Unsat claim."""
+
+    def __init__(self, stats: dict) -> None:
+        super().__init__(f"search inconclusive after {stats.get('nodes_explored', 0)} nodes")
+        self.stats = stats
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)\s*/\s*(\d+)$")
@@ -258,6 +272,28 @@ def _validate_reports(graph: InvitationGraph, reports: Mapping[VoterId, Reported
             raise StructuralError(f"voter {v!r} invites non-children {sorted(extra)}")
 
 
+def _depths(
+    graph: InvitationGraph, reports: Mapping[VoterId, ReportedType], validate: bool
+) -> dict[VoterId, int]:
+    """The one participation walk: each voter reachable along reported invitations, and its depth.
+
+    A voter is reached from its one parent, so the walk needs no order. The
+    dict follows the walk, and no caller reads that order: each sorts the
+    voters, builds a set or looks voters up. A voter is entered once, so an
+    unvalidated report that invites an ancestor cannot loop.
+    """
+    if validate:
+        _validate_reports(graph, reports)
+    depth = dict.fromkeys(graph.moderator_children, 1)
+    frontier = list(depth)
+    for v in frontier:  # grows as the walk goes, parents before children
+        for child in reports[v].invited:
+            if child not in depth:
+                depth[child] = depth[v] + 1
+                frontier.append(child)
+    return depth
+
+
 def participating_voters(
     graph: InvitationGraph,
     reports: Mapping[VoterId, ReportedType],
@@ -269,17 +305,7 @@ def participating_voters(
     The moderator's direct children always participate; a deeper voter
     participates iff every ancestor on its path reports the next edge.
     """
-    if validate:
-        _validate_reports(graph, reports)
-    reached = set(graph.moderator_children)
-    frontier = list(graph.moderator_children)
-    while frontier:
-        v = frontier.pop()
-        for child in reports[v].invited:
-            if child not in reached:
-                reached.add(child)
-                frontier.append(child)
-    return frozenset(reached)
+    return frozenset(_depths(graph, reports, validate))
 
 
 def reported_depths(
@@ -288,20 +314,8 @@ def reported_depths(
     *,
     validate: bool = True,
 ) -> dict[VoterId, int]:
-    """Depth of every participating voter under the reported invitations."""
-    if validate:
-        _validate_reports(graph, reports)
-    depth: dict[VoterId, int] = {}
-    frontier = sorted(graph.moderator_children)
-    level = 1
-    while frontier:
-        nxt: list[VoterId] = []
-        for v in frontier:
-            depth[v] = level
-            nxt.extend(sorted(c for c in reports[v].invited if c not in depth))
-        frontier = nxt
-        level += 1
-    return depth
+    """Depth of every participating voter under the reported invitations, in no fixed order."""
+    return _depths(graph, reports, validate)
 
 
 def depth(graph: InvitationGraph, reports: Mapping[VoterId, ReportedType], voter: VoterId) -> int:
@@ -560,6 +574,28 @@ def parse_property(raw: str) -> str:
     raise PropertyTokenError(
         f"unknown property {raw!r}; supported: {', '.join(PROPERTY_TOKENS)}, VR-<d>"
     )
+
+
+_SEARCH_TOKENS = tuple(t for t in PROPERTY_TOKENS if t not in CHECK_ONLY)
+
+
+def normalize_properties(properties: Iterable[str]) -> tuple[str, ...]:
+    """Validate and canonically order property tokens the search can encode."""
+    seen: set[str] = set()
+    vr: set[int] = set()
+    for raw in properties:
+        token = parse_property(raw)
+        if token in CHECK_ONLY:
+            raise ConfigurationError(
+                f"property {raw!r} is check-only; search supports: {', '.join(_SEARCH_TOKENS)}, VR-<d>"
+            )
+        if token.startswith("VR-"):
+            vr.add(int(token[3:]))
+        else:
+            seen.add(token)
+    ordered = [t for t in _SEARCH_TOKENS if t in seen]
+    ordered.extend(f"VR-{d}" for d in sorted(vr))
+    return tuple(ordered)
 
 
 def _first_indices(items: Sequence) -> list[int]:

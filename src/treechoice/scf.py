@@ -21,13 +21,12 @@ over grid indices, with no ``outcome`` call.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .fileio import InstanceFileError, object_at, rational_at, voter_ids_at
+from .fileio import InstanceFileError, object_at, rational_at, read_json, voter_ids_at
 from .model import (
     ConfigurationError,
     Instance,
@@ -390,11 +389,8 @@ class Gmvs(SocialChoiceFunction):
 
 
 def _parse_gmvs_file(path: Path) -> GmvsParameters:
-    """Read gmvs parameters; a malformed document raises InstanceFileError at the JSON path at fault."""
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read gmvs parameters from {path}: {exc}") from exc
+    """Read gmvs parameters; a malformed file raises InstanceFileError at the file, line or JSON path at fault."""
+    data = read_json(path)
     source = str(path)
     object_at(source, data)
     if "anonymous" in data:

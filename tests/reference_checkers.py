@@ -13,7 +13,11 @@ the hull tests compare with.
 space's constructor, ``tabulate`` for ``properties.rule_table``,
 ``set_built_equalities`` for ``SituationSpace.equalities``,
 ``walked_orbits`` for ``SituationSpace.orbits``, and
-``situation_classes`` for ``SituationSpace.classes``.
+``situation_classes`` for ``SituationSpace.set_classes``; the first two
+read their classes from the third, not from the space.
+``walked_participation`` and ``leveled_depths`` are the two walks that
+``participating_voters`` and ``reported_depths`` made before they shared
+one.
 ``deviation_groups`` walks a voter's contexts one at a time, as the space
 did before it kept each distinct group once, and ``first_rejected`` scans
 them, as ``RuleTable``'s SP and VR units did before they scanned distinct
@@ -46,6 +50,7 @@ from treechoice.model import (
     ReportedType,
     SituationKey,
     VoterId,
+    _validate_reports,
     compare,
     format_rational,
     participating_voters,
@@ -149,12 +154,46 @@ def first_rejected(table, voter: VoterId, base: int, tried, accepts) -> tuple[in
     return examined, -1, -1, -1, -1
 
 
-def situation_classes(space, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
-    """``SituationSpace.classes`` as it was built before the per-set layout: one pass over every situation.
+def walked_participation(graph, reports, *, validate: bool = True) -> frozenset[VoterId]:
+    """``participating_voters`` as it walked on its own, by a stack; the body is unchanged."""
+    if validate:
+        _validate_reports(graph, reports)
+    reached = set(graph.moderator_children)
+    frontier = list(graph.moderator_children)
+    while frontier:
+        v = frontier.pop()
+        for child in reports[v].invited:
+            if child not in reached:
+                reached.add(child)
+                frontier.append(child)
+    return frozenset(reached)
 
-    Each participation set's classes are computed from its first key and
-    shared by the set's later situations; the body is the space method's,
-    unchanged.
+
+def leveled_depths(graph, reports, *, validate: bool = True) -> dict[VoterId, int]:
+    """``reported_depths`` as it walked on its own, level by level in sorted order; the body is unchanged."""
+    if validate:
+        _validate_reports(graph, reports)
+    depth: dict[VoterId, int] = {}
+    frontier = sorted(graph.moderator_children)
+    level = 1
+    while frontier:
+        nxt: list[VoterId] = []
+        for v in frontier:
+            depth[v] = level
+            nxt.extend(sorted(c for c in reports[v].invited if c not in depth))
+        frontier = nxt
+        level += 1
+    return depth
+
+
+def situation_classes(space, variant: AnonymityVariant) -> list[tuple[tuple[tuple, tuple[int, ...]], ...]]:
+    """Per situation, its anonymity classes, as ``SituationSpace.classes`` built them before the per-set layout.
+
+    One pass over every situation: each participation set's classes are
+    computed from its first key and shared by the set's later situations;
+    the body is that method's, unchanged. ``SituationSpace.set_classes``
+    holds the same classes per set; ``set_built_equalities`` and
+    ``walked_orbits`` read these instead.
     """
     self = space
     index = {v: k for k, v in enumerate(self.graph.voters)}
@@ -177,7 +216,8 @@ def set_built_equalities(space, variant: AnonymityVariant) -> tuple[tuple[int, i
     """``SituationSpace.equalities`` as it was built before each swap was emitted once.
 
     Every swap is found from both situations it links and de-duplicated
-    through a set; the body is the space method's, unchanged.
+    through a set; the body is the space method's, but for reading the
+    classes from ``situation_classes``.
     """
     self = space
     var, _ = self.variables()
@@ -186,7 +226,7 @@ def set_built_equalities(space, variant: AnonymityVariant) -> tuple[tuple[int, i
     # (b - a) * (unit[i] - unit[j]), as in ``with_peaks``
     unit = [n * stride for n, stride in zip(self.invitations, self.strides)]
     pairs: set[tuple[int, int]] = set()
-    for sid, classes in enumerate(self.classes(variant)):
+    for sid, classes in enumerate(situation_classes(space, variant)):
         base, start = var[sid], self.starts[sid]
         for _, members in classes:
             for (i, a), (j, b) in itertools.combinations(zip(members, self.peaks(sid, members)), 2):
@@ -201,12 +241,12 @@ def walked_orbits(space, variant: AnonymityVariant) -> list[tuple[int, ...]]:
 
     Situations are walked one at a time in id order, and each orbit is found
     from its least member by permuting the class's peaks; the body is the
-    space method's, unchanged.
+    space method's, but for reading the classes from ``situation_classes``.
     """
     self = space
     covered = [0] * len(self.keys)  # per situation, a bit per class index already in an orbit
     out = []
-    for sid, own in enumerate(self.classes(variant)):
+    for sid, own in enumerate(situation_classes(space, variant)):
         for c, (_, members) in enumerate(own):
             if covered[sid] >> c & 1:
                 continue

@@ -253,6 +253,28 @@ def test_malformed_report_and_gmvs_files_are_path_qualified(tmp_path, capsys, op
     assert error["error"].startswith(f"{path}{at}: ")
 
 
+@pytest.mark.parametrize("option", ["--instance", "--reports", "--scf"])
+@pytest.mark.parametrize("broken", ["missing", "bad-json"])
+def test_every_input_file_fails_alike(tmp_path, capsys, option, broken):
+    # an unreadable file is named by its path, and a syntax error by its
+    # path, line and column, whichever option the file came from
+    instance = tmp_path / "fig2.json"
+    main(["gen", "--shape", "fig2", "--out", str(instance)])
+    path = tmp_path / "input.json"
+    if broken == "bad-json":
+        path.write_text('{"a": ')
+    given = {
+        "--instance": ["--instance", str(path), "--scf", "direct-median"],
+        "--reports": ["--instance", str(instance), "--reports", str(path), "--scf", "direct-median"],
+        "--scf": ["--instance", str(instance), "--scf", f"gmvs:{path}"],
+    }[option]
+    code, out, err = run_cli(capsys, "evaluate", *given)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["kind"] == "InstanceFileError"
+    assert error["error"].startswith(f"{path}: " if broken == "missing" else f"{path}:1:7: ")
+
+
 def test_matrix_markdown_smoke(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "matrix", "--format", "markdown")
     assert code == 0

@@ -959,11 +959,12 @@ def test_equalities_match_the_set_based_builder():
 
 def test_classes_match_the_per_situation_builder():
     # classes are laid out once per participation set, from the report
-    # digits of its first situation, and handed to each situation by one map
+    # digits of its first situation; a situation reads its set's
     for inst in _anonymity_instances():
         space = enumeration.SituationSpace(inst)
         for variant in AnonymityVariant:
-            assert space.classes(variant) == situation_classes(space, variant), (inst.graph, variant)
+            per_situation = [space.set_classes(variant)[reached] for reached in space.reached]
+            assert per_situation == situation_classes(space, variant), (inst.graph, variant)
 
 
 def test_orbits_match_the_situation_walk():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,14 @@ from treechoice import (
     parse_rational,
     participating_voters,
     report_space,
+    reported_depths,
     situation_key,
 )
+from treechoice.enumeration import enumerate_profiles
 from treechoice.fileio import make_chain, make_fig2, make_random, uniform_grid
+
+from conftest import tree_shapes
+from reference_checkers import leveled_depths, walked_participation
 
 F = Fraction
 GRID3 = uniform_grid(3)
@@ -113,6 +119,43 @@ def test_depths_on_chain():
     assert n_d(g, reports, 1) == {"i"}
     assert n_d(g, reports, 2) == {"j"}
     assert n_d(g, reports, 3) == {"u"}
+
+
+def test_one_participation_walk_matches_the_two_it_replaced():
+    # participating_voters and reported_depths share one walk, which starts
+    # from a frozenset and so visits voters in an order that follows string
+    # hashing; every profile of every shape of up to 4 voters on 2 points
+    grid = uniform_grid(2)
+    for graph in tree_shapes(4, 4):
+        inst = Instance(graph, {v: grid[0] for v in graph.voters}, grid)
+        for profile in enumerate_profiles(inst, budget=None):
+            for validate in (True, False):
+                depths = reported_depths(graph, profile, validate=validate)
+                assert depths == leveled_depths(graph, profile, validate=validate)
+                reached = participating_voters(graph, profile, validate=validate)
+                assert reached == walked_participation(graph, profile, validate=validate) == frozenset(depths)
+
+
+def test_participation_walk_stops_on_an_unvalidated_report_inviting_an_ancestor():
+    # u's report invites i, its grandparent; a walk that re-entered a voter
+    # would loop, so the walk runs under a timer
+    g = chain_graph()
+    reports = full_reports(g)
+    reports["u"] = ReportedType(F(0), frozenset(["i"]))
+
+    def expire(signum, frame):
+        raise TimeoutError("the participation walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        reached = participating_voters(g, reports, validate=False)
+        depths = reported_depths(g, reports, validate=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert reached == walked_participation(g, reports, validate=False) == {"i", "j", "u"}
+    assert depths == leveled_depths(g, reports, validate=False) == {"i": 1, "j": 2, "u": 3}
 
 
 def test_depth_of_non_participant_raises():
